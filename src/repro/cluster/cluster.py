@@ -18,12 +18,12 @@ the paper models.
 from __future__ import annotations
 
 import os
-
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -158,8 +158,13 @@ class Cluster:
         #: :class:`repro.core.shared.MultiViewStats`.  Import is deferred to
         #: construction time, matching the other core-package hooks above.
         from ..core.shared import MultiViewStats
+        from ..core.statistics import StatisticsCache
 
         self.multi_view_stats = MultiViewStats()
+        #: Exact planner statistics, kept current by the write paths
+        #: themselves (see :mod:`repro.core.statistics`); shared by every
+        #: planner and advisor of this cluster.
+        self.statistics = StatisticsCache(self)
 
     # ==================================================== parallel lifecycle
 
@@ -733,16 +738,15 @@ class Cluster:
         part runs now (see :meth:`repro.faults.FaultController.recover`).
         """
         info = self.catalog.relation(relation)
-        self._validate_deletes(info, deletes)
+        victims = self._validate_deletes(info, deletes)
         for row in inserts:
             info.schema.check_row(row)
         delta = Delta(relation=relation)
         journal = self._parallel_journal()
         # Deletes first so an update whose new row equals another stored row
         # cannot delete the row it just inserted.
-        for row in deletes:
-            home = info.partitioner.node_of_row(row)
-            rowid = self.nodes[home].delete_matching(relation, row, Tag.BASE)
+        for row, (home, rowid) in zip(deletes, victims):
+            self.nodes[home].delete_matching(relation, row, Tag.BASE, rowid=rowid)
             delta.deletes.append(PlacedRow(home, rowid, row))
             if journal is not None:
                 journal.log_delete(home, relation, rowid, row, Tag.BASE)
@@ -812,30 +816,62 @@ class Cluster:
                 undo, node=node, tag=tag, writes=writes, description=description
             )
 
-    def _validate_deletes(self, info: RelationInfo, deletes: List[Row]) -> None:
-        """Reject the whole statement if any requested delete cannot apply.
+    def _validate_deletes(
+        self, info: RelationInfo, deletes: List[Row]
+    ) -> List[Tuple[int, int]]:
+        """Locate every requested delete's victim, or reject the statement.
 
         Checked before any mutation so a failing statement leaves the
         cluster unchanged (statement atomicity).  Multiplicity-aware: the
         home fragment must hold at least as many copies of each row as the
         statement deletes.  Uncharged — this is validation, not execution.
-        """
-        if not deletes:
-            return
-        from collections import Counter
 
-        requested = Counter(deletes)
-        for row, count in requested.items():
-            info.schema.check_row(row)
-            home = info.partitioner.node_of_row(row)
-            fragment = self.nodes[home].fragment(info.name)
-            available = sum(1 for stored in fragment.table if stored == row)
-            if available < count:
+        Returns the ``(home node, rowid)`` each entry of ``deletes`` will
+        remove, so the base deletes search for nothing again.
+        """
+        homes: Dict[Row, int] = {}
+        for row in deletes:
+            if row not in homes:
+                info.schema.check_row(row)
+                homes[row] = info.partitioner.node_of_row(row)
+        rowids = self._locate_victims(
+            info.name, [(homes[row], row) for row in deletes]
+        )
+        for row, rowid in zip(deletes, rowids):
+            if rowid is None:
+                available = sum(
+                    1 for other, found in zip(deletes, rowids)
+                    if other == row and found is not None
+                )
                 raise KeyError(
-                    f"cannot delete {count} instance(s) of {row!r} from "
-                    f"{info.name!r}: node {home} holds {available}; "
+                    f"cannot delete {deletes.count(row)} instance(s) of {row!r} "
+                    f"from {info.name!r}: node {homes[row]} holds {available}; "
                     "statement rolled back"
                 )
+        return [(homes[row], rowid) for row, rowid in zip(deletes, rowids)]
+
+    def _locate_victims(
+        self, name: str, targets: Sequence[Tuple[int, Row]]
+    ) -> List[Optional[int]]:
+        """The rowid each of a run of ``(node, row)`` deletes on ``name``
+        will remove, aligned with ``targets``; ``None`` where the fragment
+        holds fewer copies of the row than the run deletes.
+
+        One :meth:`~repro.storage.IndexedHeap.locate` call per touched
+        fragment, so locating costs the statement's size (plus the index
+        entries under its keys), not the fragment's.
+        """
+        wanted: Dict[int, Dict[Row, int]] = {}
+        for node, row in targets:
+            rows = wanted.setdefault(node, {})
+            rows[row] = rows.get(row, 0) + 1
+        supply = {
+            (node, row): iter(rowids)
+            for node, rows in wanted.items()
+            for row, rowids in self.nodes[node].fragment(name).locate(rows).items()
+        }
+        none_left: Iterator[int] = iter(())
+        return [next(supply.get(target, none_left), None) for target in targets]
 
     def _co_update_auxiliaries(self, info: RelationInfo, delta: Delta) -> None:
         """Propagate the base delta into every AR of the relation.
@@ -914,10 +950,11 @@ class Cluster:
             for (src, dst), count in send_counts.items():
                 self.network.send_many(src, dst, count, Tag.MAINTAIN)
             journal = self._parallel_journal()
-            for dest, image in routed_deletes:
+            located = self._locate_victims(aux.name, routed_deletes)
+            for (dest, image), rowid in zip(routed_deletes, located):
                 try:
                     rowid = self.nodes[dest].delete_matching(
-                        aux.name, image, Tag.MAINTAIN
+                        aux.name, image, Tag.MAINTAIN, rowid=rowid
                     )
                 except KeyError:
                     # A duplicated (un-deduped) delete found nothing: the
@@ -1117,9 +1154,10 @@ class Cluster:
                 routed.append((dest, row))
             for (src, dst), count in send_counts.items():
                 self.network.send_many(src, dst, count, Tag.VIEW)
-            for dest, row in routed:
+            located = self._locate_victims(name, routed)
+            for (dest, row), rowid in zip(routed, located):
                 try:
-                    self.nodes[dest].delete_matching(name, row, Tag.VIEW)
+                    self.nodes[dest].delete_matching(name, row, Tag.VIEW, rowid=rowid)
                 except KeyError:
                     pass  # duplicated delete: first copy already won
         view.row_count -= len(deletes)

@@ -151,29 +151,30 @@ class Node:
             self.replicator.on_write(self.node_id, name, "ins", list(rows), tag)
         return rowids
 
-    def delete_matching(self, name: str, row: Row, tag: Tag) -> int:
+    def delete_matching(
+        self, name: str, row: Row, tag: Tag, rowid: Optional[int] = None
+    ) -> int:
         """Delete one stored tuple equal to ``row``.
 
         Billed as one INSERT-weight write (the model prices all single-tuple
-        table mutations identically) plus a SEARCH if an index located it.
+        table mutations identically) plus a SEARCH if the fragment has an
+        index to locate it through.  A caller that already located the
+        victim (statement validation does, for every base delete) passes
+        its ``rowid``; the charges are the same, only the search is not
+        repeated.
         """
         self._guard(f"delete from {name!r}")
         fragment = self.fragment(name)
-        index = _any_index(fragment)
-        if index is not None:
+        if fragment.locating_index() is not None:
             self.ledger.charge(self.node_id, Op.SEARCH, tag)
-            key = index.key_of(row)
-            for rowid in index.search(key):
-                if fragment.table.fetch(rowid) == row:
-                    fragment.delete(rowid)
-                    self.ledger.charge(self.node_id, Op.INSERT, tag)
-                    if self.replicator is not None:
-                        self.replicator.on_write(
-                            self.node_id, name, "del", [row], tag
-                        )
-                    return rowid
-            raise KeyError(f"no tuple equal to {row!r} in {name!r} at node {self.node_id}")
-        rowid = fragment.delete_matching(row)
+        if rowid is None:
+            found = fragment.locate({row: 1}).get(row)
+            if not found:
+                raise KeyError(
+                    f"no tuple equal to {row!r} in {name!r} at node {self.node_id}"
+                )
+            rowid = found[0]
+        fragment.delete(rowid)
         self.ledger.charge(self.node_id, Op.INSERT, tag)
         if self.replicator is not None:
             self.replicator.on_write(self.node_id, name, "del", [row], tag)
@@ -383,10 +384,3 @@ class Node:
             for name, fragment in sorted(self._fragments.items())
         ]
 
-
-def _any_index(fragment: IndexedHeap) -> Optional[LocalIndex]:
-    """Prefer a clustered index, else any index, else None."""
-    clustered = [ix for ix in fragment.indexes.values() if ix.clustered]
-    if clustered:
-        return clustered[0]
-    return next(iter(fragment.indexes.values()), None)

@@ -73,12 +73,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..core.delta import OP_DELETE, OP_INSERT, DeltaBlock
 from ..costs import CostLedger, Op
 from ..storage.global_index import GlobalRowId
-from .node import _any_index
 from .probe_cache import HeavyHitterProbeCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..costs import Tag
-    from ..storage import IndexedHeap, Row
+    from ..storage import Row
     from .cluster import Cluster
 
 
@@ -165,23 +164,6 @@ def shard_ranges(num_nodes: int, workers: int) -> List[Tuple[int, int]]:
         ranges.append((lo, hi))
         lo = hi
     return ranges
-
-
-def locate_victim(fragment: "IndexedHeap", row: "Row", taken) -> Optional[int]:
-    """The rowid :meth:`Node.delete_matching` would delete for ``row``,
-    excluding rowids already claimed by earlier deletes of this statement
-    (the serial engine mutates between searches; the exclusion set models
-    exactly that).  Returns ``None`` when no live copy remains."""
-    index = _any_index(fragment)
-    if index is not None:
-        for rowid in index.search(index.key_of(row)):
-            if rowid not in taken and fragment.table.fetch(rowid) == row:
-                return rowid
-        return None
-    for rowid, stored in fragment.table.scan():
-        if rowid not in taken and stored == row:
-            return rowid
-    return None
 
 
 # ========================================================== wire framing

@@ -60,64 +60,49 @@ class MaintenancePlanner:
         self.cluster = cluster
         self.bound = bound
         self.method = method
-        self.statistics = statistics or StatisticsCache(cluster)
-        self._plan_cache: Dict[Tuple, MaintenancePlan] = {}
-        self._compiled_cache: Dict[Tuple, CompiledPlan] = {}
-        self._order_counts: Dict[Tuple[str, int], int] = {}
+        self.statistics = statistics or cluster.statistics
+        #: One entry per updated relation, each tagged with the
+        #: :meth:`_signature_key` it was made under and replaced when that
+        #: moves — O(relations) entries however long the cluster runs.
+        self._plan_cache: Dict[str, Tuple[Tuple, MaintenancePlan]] = {}
+        self._compiled_cache: Dict[str, Tuple[Tuple, CompiledPlan]] = {}
+        self._order_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------ planning
 
-    @staticmethod
-    def _prune_stale(cache: Dict[Tuple, object], version: int) -> None:
-        """Drop cache entries made under an older catalog version.
-
-        Every cache key here carries the catalog version in position 1;
-        a DDL bump makes those entries unreachable, so they are garbage.
-        Pruning runs only on cache *misses* (the first plan after a DDL),
-        never on the per-statement hit path, and changes no behavior —
-        stale entries could never be returned anyway.
-        """
-        stale = [key for key in cache if key[1] != version]
-        for key in stale:
-            del cache[key]
-
-    def _signature_key(self, updated: str) -> Tuple:
-        """Plan-cache key: catalog version (DDL invalidation) plus the
-        relation cardinalities (replan as data grows, matching the
-        cardinality-keyed statistics that drive pricing)."""
-        signature = tuple(
-            self.cluster.catalog.relation(name).row_count
-            for name in self.bound.definition.relations
+    def _signature_key(self) -> Tuple:
+        """Plan-cache tag: catalog version (DDL invalidation) plus the
+        relation cardinalities (replan as data grows; with exact O(1)
+        statistics re-pricing the hop orders costs microseconds)."""
+        return (
+            self.cluster.catalog.version,
+            tuple(
+                self.cluster.catalog.relation(name).row_count
+                for name in self.bound.definition.relations
+            ),
         )
-        return (updated, self.cluster.catalog.version, signature)
 
     def _single_order(self, updated: str) -> bool:
         """Whether only one legal hop order exists (every two-relation
-        view).  Memoized per catalog version — new structures can change
-        neither the order count (it depends only on the join graph) but a
-        version bump is a cheap, safe invalidation boundary."""
-        order_key = (updated, self.cluster.catalog.version)
-        count = self._order_counts.get(order_key)
+        view).  The count depends only on the join graph, so it is
+        computed once per updated relation."""
+        count = self._order_counts.get(updated)
         if count is None:
-            self._prune_stale(self._order_counts, order_key[1])
             count = len(enumerate_orders(self.bound, updated))
-            self._order_counts[order_key] = count
+            self._order_counts[updated] = count
         return count <= 1
 
     def plan_for(self, updated: str) -> MaintenancePlan:
         """The cheapest legal plan for a delta on ``updated``.
 
         Cached per catalog version and catalog cardinalities, so plans
-        adapt as data grows (the statistics that drive pricing are
-        cardinality-keyed too).
+        adapt as data grows.
         """
-        key = self._signature_key(updated)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            self._prune_stale(self._plan_cache, key[1])
-            plan = self._choose_plan(updated)
-            self._plan_cache[key] = plan
-        return plan
+        key = self._signature_key()
+        held = self._plan_cache.get(updated)
+        if held is None or held[0] != key:
+            held = self._plan_cache[updated] = (key, self._choose_plan(updated))
+        return held[1]
 
     def compiled_for(self, updated: str) -> CompiledPlan:
         """The plan for ``updated`` with mapper, probe-key positions, and
@@ -129,30 +114,29 @@ class MaintenancePlanner:
         alone and survives data growth; multiway views key on the full
         cardinality signature, tracking :meth:`plan_for`'s replanning.
         """
-        version = self.cluster.catalog.version
         if self._single_order(updated):
-            key: Tuple = (updated, version)
+            key: Tuple = (self.cluster.catalog.version,)
         else:
-            key = self._signature_key(updated)
-        compiled = self._compiled_cache.get(key)
+            key = self._signature_key()
+        held = self._compiled_cache.get(updated)
         obs = self.cluster.obs
-        if compiled is None:
+        if held is None or held[0] != key:
             with obs.span(
                 "plan_compile",
                 view=self.bound.definition.name,
                 relation=updated,
                 method=self.method.value,
             ):
-                self._prune_stale(self._compiled_cache, version)
                 compiled = attach_select(
                     self.bound, self._shared_join(self.plan_for(updated))
                 )
-                self._compiled_cache[key] = compiled
+                self._compiled_cache[updated] = (key, compiled)
             if obs.enabled:
                 self._plan_cache_event(obs, updated, "miss")
-        elif obs.enabled:
+            return compiled
+        if obs.enabled:
             self._plan_cache_event(obs, updated, "compiled_hit")
-        return compiled
+        return held[1]
 
     def _shared_join(self, plan: MaintenancePlan) -> CompiledJoin:
         """Fetch (or create) the select-independent compiled join.
@@ -198,7 +182,8 @@ class MaintenancePlanner:
 
     def _choose_plan(self, updated: str) -> MaintenancePlan:
         orders = enumerate_orders(self.bound, updated)
-        best = min(orders, key=self._price_order)
+        # A lone order needs no pricing — and so no statistics tracked.
+        best = orders[0] if len(orders) == 1 else min(orders, key=self._price_order)
         return self._build_plan(updated, best)
 
     def _build_plan(
@@ -330,13 +315,12 @@ class MaintenancePlanner:
             total += cardinality * self._probe_unit_cost(access, fanout)
             cardinality *= fanout
             for condition in choice.extra_filters:
-                distinct = max(
+                cardinality /= max(
                     1,
-                    self.statistics.for_relation(choice.partner).distinct.get(
-                        condition.column_of(choice.partner), 1
+                    self.statistics.distinct(
+                        choice.partner, condition.column_of(choice.partner)
                     ),
                 )
-                cardinality /= distinct
         return total
 
     def _probe_unit_cost(self, access: AccessPath, fanout: float) -> float:
@@ -433,7 +417,7 @@ class MethodAdvisor:
     def __init__(self, cluster: "Cluster", bound: BoundView) -> None:
         self.cluster = cluster
         self.bound = bound
-        self.statistics = StatisticsCache(cluster)
+        self.statistics = cluster.statistics
 
     def storage_overhead(self, method: MaintenanceMethod) -> int:
         """Extra tuples/entries the method needs for this view (naive: 0;

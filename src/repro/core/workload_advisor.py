@@ -22,7 +22,6 @@ from ..model import (
     total_workload_ios,
 )
 from .maintenance import MaintenanceMethod
-from .statistics import StatisticsCache
 from .view import BoundView
 
 
@@ -88,7 +87,7 @@ class WorkloadAdvisor:
         self.cluster = cluster
         self.bound = bound
         self.clustered_base_indexes = clustered_base_indexes
-        self.statistics = StatisticsCache(cluster)
+        self.statistics = cluster.statistics
 
     # ------------------------------------------------------- cost pieces
 
@@ -103,11 +102,8 @@ class WorkloadAdvisor:
 
     def view_scan_cost(self) -> float:
         """Pages of the view result, estimated from join cardinality."""
-        contents_rows = 1.0
         first = self.bound.definition.relations[0]
-        contents_rows = float(
-            max(1, self.statistics.for_relation(first).rows)
-        )
+        contents_rows = float(max(1, self.statistics.rows(first)))
         for condition in self.bound.definition.conditions:
             partner, column = condition.right, condition.right_column
             contents_rows *= max(

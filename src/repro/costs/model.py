@@ -20,7 +20,22 @@ import enum
 from dataclasses import dataclass
 
 
-class Op(enum.Enum):
+class _Member(enum.Enum):
+    """An enum whose members hash at C level.
+
+    :class:`enum.Enum` hashes through a Python-level ``__hash__`` (the hash
+    of the member's name), and every ledger cell key holds an :class:`Op`
+    and a :class:`Tag` — two interpreted calls per
+    :meth:`~repro.costs.CostLedger.charge`.  Members are singletons compared
+    by identity (they unpickle to the same object in a worker), so
+    ``object.__hash__`` is an equally valid hash; every report that walks
+    cells already sorts them by ``(node, op.name, tag.name)``.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Op(_Member):
     """Primitive accounted operations."""
 
     SEND = "send"
@@ -32,7 +47,7 @@ class Op(enum.Enum):
     BACKOFF = "backoff"  # one retry backoff slot waited at the sender
 
 
-class Tag(enum.Enum):
+class Tag(_Member):
     """Who an operation is charged to.
 
     The paper's TW deliberately *omits* costs common to all three methods —

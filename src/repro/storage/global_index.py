@@ -77,6 +77,9 @@ class GlobalIndexPartition:
     def keys(self) -> Iterable[object]:
         return self._entries.keys()
 
+    def distinct_keys(self) -> int:
+        return len(self._entries)
+
     def items(self) -> Iterable[Tuple[object, List[GlobalRowId]]]:
         return self._entries.items()
 

@@ -12,7 +12,16 @@ clustered on at most one attribute.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from .heap import HeapTable
 from .schema import Row
@@ -20,6 +29,21 @@ from .schema import Row
 
 class IndexError_(KeyError):
     """Raised on index maintenance errors (named to avoid the builtin)."""
+
+
+class RowObserver(Protocol):
+    """What an :class:`IndexedHeap` keeps in lockstep with its rows.
+
+    :class:`LocalIndex` is the indexed case; anything else that must see
+    every physical write of a fragment (the planner's distinct-value
+    counters) joins :attr:`IndexedHeap.observers` and gets the same two
+    calls from the same four mutation entry points — insert, bulk insert,
+    delete, and the rollback path's restore.
+    """
+
+    def on_insert(self, rowid: int, row: Row) -> None: ...
+
+    def on_delete(self, rowid: int, row: Row) -> None: ...
 
 
 class LocalIndex:
@@ -97,6 +121,8 @@ class IndexedHeap:
     def __init__(self, table: HeapTable) -> None:
         self.table = table
         self.indexes: Dict[str, LocalIndex] = {}
+        #: Non-index :class:`RowObserver`s, notified after the indexes.
+        self.observers: List[RowObserver] = []
 
     def create_index(self, column: str, clustered: bool = False) -> LocalIndex:
         if clustered and any(ix.clustered for ix in self.indexes.values()):
@@ -112,10 +138,23 @@ class IndexedHeap:
     def index_on(self, column: str) -> LocalIndex | None:
         return self.indexes.get(column)
 
+    def locating_index(self) -> Optional[LocalIndex]:
+        """The index a delete finds its victim through: the clustered one
+        if there is one, else the first declared, else ``None``."""
+        first = None
+        for index in self.indexes.values():
+            if index.clustered:
+                return index
+            if first is None:
+                first = index
+        return first
+
     def insert(self, row: Row) -> int:
         rowid = self.table.insert(row)
         for index in self.indexes.values():
             index.on_insert(rowid, row)
+        for observer in self.observers:
+            observer.on_insert(rowid, row)
         return rowid
 
     def insert_many(self, rows) -> "list[int]":
@@ -126,8 +165,8 @@ class IndexedHeap:
         """
         rows = list(rows)
         rowids = self.table.insert_many(rows)
-        for index in self.indexes.values():
-            on_insert = index.on_insert
+        for listener in (*self.indexes.values(), *self.observers):
+            on_insert = listener.on_insert
             for rowid, row in zip(rowids, rows):
                 on_insert(rowid, row)
         return rowids
@@ -136,6 +175,8 @@ class IndexedHeap:
         row = self.table.delete(rowid)
         for index in self.indexes.values():
             index.on_delete(rowid, row)
+        for observer in self.observers:
+            observer.on_delete(rowid, row)
         return row
 
     def restore(self, rowid: int, row: Row) -> None:
@@ -143,13 +184,60 @@ class IndexedHeap:
         re-enter it into every index (rollback path; uncharged here —
         the undo log owns cost attribution)."""
         self.table.restore(rowid, row)
-        for index in self.indexes.values():
-            index.on_insert(rowid, row)
+        for listener in (*self.indexes.values(), *self.observers):
+            listener.on_insert(rowid, row)
+
+    def locate(self, wanted: Mapping[Row, int]) -> Dict[Row, List[int]]:
+        """Rowids of up to ``wanted[row]`` stored copies of each row.
+
+        The one victim locator: copies come back in the order successive
+        single-row deletes would have taken them — the locating index's
+        entry order under the row's key, else heap order — so a k-th
+        delete of a duplicated row still removes the k-th match.  Through
+        an index this reads only the entries under the wanted rows' keys
+        (each key's entry list once, however many wanted rows share it);
+        without one it is a single pass over the fragment that stops as
+        soon as every wanted copy is found.  A row with fewer stored copies
+        than wanted maps to all of them; a row with none is absent.
+        """
+        located: Dict[Row, List[int]] = {}
+        index = self.locating_index()
+        if index is None:
+            _take(self.table.scan(), wanted, located)
+            return located
+        by_key: Dict[object, Dict[Row, int]] = {}
+        for row, count in wanted.items():
+            by_key.setdefault(index.key_of(row), {})[row] = count
+        fetch = self.table.fetch
+        for key, rows in by_key.items():
+            entries = ((rowid, fetch(rowid)) for rowid in index.search(key))
+            _take(entries, rows, located)
+        return located
 
     def delete_matching(self, row: Row) -> int:
         """Delete one stored tuple equal to ``row``; returns its rowid."""
-        for rowid, stored in self.table.scan():
-            if stored == row:
-                self.delete(rowid)
-                return rowid
-        raise IndexError_(f"no tuple equal to {row!r} in {self.table.schema.name!r}")
+        found = self.locate({row: 1}).get(row)
+        if not found:
+            raise IndexError_(
+                f"no tuple equal to {row!r} in {self.table.schema.name!r}"
+            )
+        self.delete(found[0])
+        return found[0]
+
+
+def _take(
+    candidates: Iterable[Tuple[int, Row]],
+    wanted: Mapping[Row, int],
+    located: Dict[Row, List[int]],
+) -> None:
+    """Collect from ``candidates`` the first ``wanted[row]`` rowids of each
+    wanted row into ``located``, stopping once nothing is missing."""
+    missing = sum(wanted.values())
+    for rowid, stored in candidates:
+        if stored in wanted:
+            taken = located.setdefault(stored, [])
+            if len(taken) < wanted[stored]:
+                taken.append(rowid)
+                missing -= 1
+                if not missing:
+                    return

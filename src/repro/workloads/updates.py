@@ -95,9 +95,10 @@ class UpdateStream:
                 ]
                 yield UpdateOp(OpKind.DELETE, self.relation, rows=tuple(victims))
             else:
+                # Distinct victims: a row drawn twice would make the second
+                # change delete an image the statement has not stored yet.
                 changes = []
-                for _ in range(self.batch_size):
-                    index = rng.randrange(len(live))
+                for index in rng.sample(range(len(live)), self.batch_size):
                     old = live[index]
                     new = self.update_row(old, serial)
                     serial += 1

@@ -169,6 +169,33 @@ def test_update_stream_mixed_is_consistent(ab_cluster):
     assert Counter(ab_cluster.view_rows("JV")) == recompute_view(ab_cluster, "JV")
 
 
+def test_update_stream_batched_updates_draw_distinct_victims(ab_cluster):
+    """Regression: one UPDATE batch used to be able to draw the same live
+    row twice, and ``Cluster.update`` rejected the statement (``KeyError``:
+    its second change deletes an image that is not stored yet)."""
+    from tests.conftest import make_view
+    from repro import recompute_view
+
+    make_view(ab_cluster, "auxiliary")
+    stream = UpdateStream(
+        "A",
+        lambda i: (i, i % 5, f"e{i}"),
+        batch_size=8,
+        mix=(0.4, 0.2, 0.4),
+        update_row=lambda row, serial: (row[0], serial % 5, row[2]),
+        seed=11,
+    )
+    updates = 0
+    for op in stream.ops(500):
+        if op.kind is OpKind.UPDATE:
+            updates += 1
+            olds = [old for old, _ in op.changes]
+            assert len(set(olds)) == len(olds) == 8
+        op.apply_to(ab_cluster)
+    assert updates > 100
+    assert Counter(ab_cluster.view_rows("JV")) == recompute_view(ab_cluster, "JV")
+
+
 def test_update_stream_deterministic():
     make = lambda: UpdateStream("A", lambda i: (i,), mix=(0.6, 0.2, 0.2), seed=3)
     a = [(op.kind, op.rows, op.changes) for op in make().ops(20)]
