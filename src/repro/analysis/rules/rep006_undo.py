@@ -19,9 +19,12 @@ mentions a fragment / node / GI partition, when the enclosing function
 never touches the undo machinery (``_record_undo``,
 ``_snapshot_queue_undo``, or ``record`` on an ``*undo*`` receiver).
 
+The bulk paths are no exception: they run inside undo scopes too, and a
+batch write (``insert_many``) owes one inverse for the whole batch,
+recorded by the function that performs it.
+
 Legitimately unlogged sites — DDL backfills that run before any scope can
-exist, bulk paths gated by ``_bulk_ok`` (which requires no open scopes),
-audit repairs that *are* the recovery path — annotate
+exist, audit repairs that *are* the recovery path — annotate
 ``# repro: no-undo=<why rollback can never see this>`` on the line or the
 enclosing ``def``.
 """

@@ -216,8 +216,9 @@ class StatementSanitizer:
             self._fail(
                 where,
                 "an undo scope is open while the parallel gate admits "
-                "supersteps: bulk/parallel paths must drain under undo "
-                "scopes (see Cluster._bulk_ok)",
+                "supersteps: a rollback mutates coordinator-side state the "
+                "refresh journal does not carry, so the worker pool must "
+                "drain under undo scopes (see Cluster._parallel_gate)",
             )
 
 

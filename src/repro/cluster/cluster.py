@@ -171,16 +171,16 @@ class Cluster:
     def _parallel_gate(self) -> bool:
         """Whether parallel execution is admissible *right now*.
 
-        Same conditions as :meth:`_bulk_ok` (the superstep engine is built
-        on the bulk paths) plus a configured worker count.  Faults and undo
-        scopes route to the serial reference engine, exactly like PR 2.
-        Replication also drains: its write hooks mutate coordinator-side
-        replica bags and must observe every primary write in-process.
+        The superstep engine is built on the bulk paths, so :meth:`_bulk_ok`
+        must hold, plus a configured worker count.  Open undo scopes and
+        replication stay serial (on the same bulk paths): a rollback and
+        the replica write hooks mutate coordinator-side state — restored
+        fragments, replica bags — that the refresh journal does not carry,
+        so workers could not catch up with it.
         """
         return (
             self.workers is not None
-            and self.batch_execution
-            and self.faults is None
+            and self._bulk_ok()
             and self.replicator is None
             and not self._undo_logs
         )
@@ -631,18 +631,20 @@ class Cluster:
             self._execute_statement(relation, inserts, deletes)
 
     def _bulk_ok(self) -> bool:
-        """Whether the bulk write paths may run for this statement.
+        """Whether the batched engine runs this statement — the one gate
+        for the bulk write paths here, the batched join hops in
+        :mod:`repro.core.maintenance` and the shared multi-view DAG in
+        :mod:`repro.core.shared`.
 
-        Bulk application is charge-equivalent only where operation order is
-        immaterial (commutative ledger cells / network counters) and no
-        per-mutation undo records are needed.  With a fault controller or an
-        open undo scope, the tuple-at-a-time reference path runs instead.
+        Batching is charge-equivalent wherever operation order is
+        immaterial (commutative ledger cells / network counters), which is
+        everywhere except under a fault controller: injector answers are
+        keyed to the call *sequence*, so faults keep the tuple-at-a-time
+        reference engine.  Undo scopes and replication do not: a bulk write
+        records one inverse per batch and hands the replica hook the whole
+        batch.
         """
-        return (
-            self.batch_execution
-            and self.faults is None
-            and not self._undo_logs
-        )
+        return self.batch_execution and self.faults is None
 
     def _flush_stale_deferred(self, relation: str) -> None:
         """Refresh deferred views holding a *different* relation's delta
@@ -704,7 +706,7 @@ class Cluster:
                 self._co_update_global_indexes(info, delta)
             # One shared delta-propagation DAG across all registered views
             # (falls back to the historical per-view loop for single-view
-            # statements and every fault/undo path — see repro.core.shared).
+            # statements and every fault path — see repro.core.shared).
             from ..core.shared import maintain_views
 
             maintain_views(self, delta)
@@ -746,17 +748,10 @@ class Cluster:
         # Deletes first so an update whose new row equals another stored row
         # cannot delete the row it just inserted.
         for row, (home, rowid) in zip(deletes, victims):
-            self.nodes[home].delete_matching(relation, row, Tag.BASE, rowid=rowid)
+            self._delete_row(home, relation, row, Tag.BASE, rowid)
             delta.deletes.append(PlacedRow(home, rowid, row))
             if journal is not None:
                 journal.log_delete(home, relation, rowid, row, Tag.BASE)
-            self._record_undo(
-                lambda f=self.nodes[home].fragment(relation), r=rowid, t=row: (
-                    f.restore(r, t)
-                ),
-                node=home, tag=Tag.BASE, writes=1,
-                description=f"restore {relation} delete",
-            )
         if inserts and self._bulk_ok():
             # Bulk path: group rows by home node (preserving per-home order,
             # so rowids match the per-tuple engine), then one insert_many per
@@ -766,7 +761,7 @@ class Cluster:
             for home, row in zip(homes, inserts):
                 grouped.setdefault(home, []).append(row)
             rowid_lists = {
-                home: self.nodes[home].insert_many(relation, rows, Tag.BASE)
+                home: self._insert_rows(home, relation, rows, Tag.BASE)
                 for home, rows in grouped.items()
             }
             if journal is not None:
@@ -791,12 +786,48 @@ class Cluster:
                 )
         applied = len(inserts) - len(deletes)
         if applied:
-            info.row_count += applied
-            self._record_undo(
-                lambda i=info, n=applied: setattr(i, "row_count", i.row_count - n),
-                description=f"restore {relation} row_count",
-            )
+            self._set_row_count(info, info.row_count + applied)
         return info, delta
+
+    def _insert_rows(
+        self, home: int, name: str, rows: List[Row], tag: Tag
+    ) -> List[int]:
+        """One bulk fragment write and, inside an undo scope, its one
+        inverse: the batch's rowids, deleted newest first on rollback."""
+        node = self.nodes[home]
+        rowids = node.insert_many(name, rows, tag)
+        if self._undo_logs:
+            self._undo_logs[-1].record(
+                node.fragment(name).delete_many,
+                node=home, tag=tag, writes=len(rowids), args=(rowids,),
+            )
+        return rowids
+
+    def _delete_row(
+        self, home: int, name: str, row: Row, tag: Tag,
+        rowid: Optional[int] = None,
+    ) -> int:
+        """One fragment delete (of ``rowid`` when the caller located the
+        victim already) and, inside an undo scope, its inverse: the row
+        revived under its original rowid on rollback.  Raises ``KeyError``
+        (recording nothing) when no copy is stored."""
+        node = self.nodes[home]
+        rowid = node.delete_matching(name, row, tag, rowid=rowid)
+        if self._undo_logs:
+            self._undo_logs[-1].record(
+                node.fragment(name).restore,
+                node=home, tag=tag, writes=1, args=(rowid, row),
+            )
+        return rowid
+
+    def _set_row_count(self, info, row_count: int) -> None:
+        """Move a catalog object's ``row_count``; inside an undo scope the
+        old value comes back on rollback (bookkeeping: no writes billed)."""
+        if self._undo_logs:
+            self._undo_logs[-1].record(
+                setattr, args=(info, "row_count", info.row_count)
+            )
+        info.row_count = row_count
 
     def _record_undo(
         self,
@@ -892,19 +923,11 @@ class Cluster:
                 deliveries = self.network.send(placed.node, dest, Tag.MAINTAIN)
                 for _ in range(deliveries):
                     try:
-                        rowid = self.nodes[dest].delete_matching(
-                            aux.name, image, Tag.MAINTAIN
-                        )
+                        self._delete_row(dest, aux.name, image, Tag.MAINTAIN)
                     except KeyError:
                         # A duplicated (un-deduped) delete found nothing: the
                         # first copy already removed the row.
                         break
-                    self._record_undo(
-                        lambda f=self.nodes[dest].fragment(aux.name),
-                        r=rowid, t=image: f.restore(r, t),
-                        node=dest, tag=Tag.MAINTAIN, writes=1,
-                        description=f"restore {aux.name} delete",
-                    )
             for placed in delta.inserts:
                 image = aux.image_of(placed.row)
                 if image is None:
@@ -920,7 +943,7 @@ class Cluster:
                         description=f"undo {aux.name} insert",
                     )
 
-    def _co_update_auxiliaries_bulk(self, info: RelationInfo, delta: Delta) -> None:  # repro: no-undo=_bulk_ok gates this path to run only with no open undo scope
+    def _co_update_auxiliaries_bulk(self, info: RelationInfo, delta: Delta) -> None:
         """Bulk AR co-update: coalesced sends, one insert_many per node.
 
         Charge-identical to the per-tuple loop (fault-free deliveries are
@@ -953,8 +976,8 @@ class Cluster:
             located = self._locate_victims(aux.name, routed_deletes)
             for (dest, image), rowid in zip(routed_deletes, located):
                 try:
-                    rowid = self.nodes[dest].delete_matching(
-                        aux.name, image, Tag.MAINTAIN, rowid=rowid
+                    rowid = self._delete_row(
+                        dest, aux.name, image, Tag.MAINTAIN, rowid
                     )
                 except KeyError:
                     # A duplicated (un-deduped) delete found nothing: the
@@ -963,9 +986,7 @@ class Cluster:
                 if journal is not None:
                     journal.log_delete(dest, aux.name, rowid, image, Tag.MAINTAIN)
             for dest, images in grouped_inserts.items():
-                rowids = self.nodes[dest].insert_many(
-                    aux.name, images, Tag.MAINTAIN
-                )
+                rowids = self._insert_rows(dest, aux.name, images, Tag.MAINTAIN)
                 if journal is not None:
                     journal.log_insert_run(
                         dest, aux.name, rowids, images, Tag.MAINTAIN
@@ -1007,8 +1028,10 @@ class Cluster:
                         description=f"undo {gi.name} entry",
                     )
 
-    def _co_update_global_indexes_bulk(self, info: RelationInfo, delta: Delta) -> None:  # repro: no-undo=_bulk_ok gates this path to run only with no open undo scope
-        """Bulk GI co-update: coalesced sends, one entry-batch per home node."""
+    def _co_update_global_indexes_bulk(self, info: RelationInfo, delta: Delta) -> None:
+        """Bulk GI co-update: coalesced sends, one entry-batch per home node
+        (and, inside an undo scope, one inverse per entry batch)."""
+        undo = self._undo_logs[-1] if self._undo_logs else None
         for gi in self.catalog.global_indexes_of(info.name):
             send_counts: Dict[Tuple[int, int], int] = {}
             routed_deletes: List[Tuple[int, object, GlobalRowId]] = []
@@ -1037,9 +1060,20 @@ class Cluster:
                     continue  # duplicated delete: the entry is already gone
                 if journal is not None:
                     journal.log_gi_delete(dest, gi.name, key, grid, Tag.MAINTAIN)
+                if undo is not None:
+                    undo.record(
+                        self.nodes[dest].gi_partition(gi.name).insert,
+                        node=dest, tag=Tag.MAINTAIN, writes=1, args=(key, grid),
+                    )
             for dest, entries in grouped_inserts.items():
-                self.nodes[dest].gi_partition(gi.name).insert_many(entries)
+                gi_partition = self.nodes[dest].gi_partition(gi.name)
+                gi_partition.insert_many(entries)
                 self.ledger.charge(dest, Op.INSERT, Tag.MAINTAIN, count=len(entries))
+                if undo is not None:
+                    undo.record(
+                        gi_partition.delete_many, node=dest, tag=Tag.MAINTAIN,
+                        writes=len(entries), args=(entries,),
+                    )
                 if journal is not None:
                     journal.log_gi_insert_run(dest, gi.name, entries, Tag.MAINTAIN)
 
@@ -1094,15 +1128,9 @@ class Cluster:
                 deliveries = self.network.send(source, dest, Tag.VIEW)
                 for _ in range(deliveries):
                     try:
-                        rowid = self.nodes[dest].delete_matching(name, row, Tag.VIEW)
+                        self._delete_row(dest, name, row, Tag.VIEW)
                     except KeyError:
                         break  # duplicated delete: first copy already won
-                    self._record_undo(
-                        lambda f=self.nodes[dest].fragment(name),
-                        r=rowid, t=row: f.restore(r, t),
-                        node=dest, tag=Tag.VIEW, writes=1,
-                        description=f"restore {name} delete",
-                    )
             view.row_count -= 1
             self._record_undo(
                 lambda v=view: setattr(v, "row_count", v.row_count + 1),
@@ -1124,7 +1152,7 @@ class Cluster:
                 description=f"restore {name} row_count",
             )
 
-    def _apply_view_delta_bulk(  # repro: no-undo=_bulk_ok gates this path to run only with no open undo scope
+    def _apply_view_delta_bulk(
         self,
         view: ViewInfo,
         inserts: Sequence[Tuple[int, Row]],
@@ -1157,10 +1185,9 @@ class Cluster:
             located = self._locate_victims(name, routed)
             for (dest, row), rowid in zip(routed, located):
                 try:
-                    self.nodes[dest].delete_matching(name, row, Tag.VIEW, rowid=rowid)
+                    self._delete_row(dest, name, row, Tag.VIEW, rowid)
                 except KeyError:
                     pass  # duplicated delete: first copy already won
-        view.row_count -= len(deletes)
         if inserts:
             send_counts = {}
             grouped: Dict[int, List[Row]] = {}
@@ -1172,8 +1199,11 @@ class Cluster:
             for (src, dst), count in send_counts.items():
                 self.network.send_many(src, dst, count, Tag.VIEW)
             for dest, rows in grouped.items():
-                self.nodes[dest].insert_many(name, rows, Tag.VIEW)
-            view.row_count += len(inserts)
+                self._insert_rows(dest, name, rows, Tag.VIEW)
+        if len(inserts) != len(deletes):
+            self._set_row_count(
+                view, view.row_count + len(inserts) - len(deletes)
+            )
 
     def _round_robin_delete(self, view: ViewInfo, source: int, row: Row) -> None:
         for node in self.nodes:

@@ -160,8 +160,10 @@ class Replicator:
     each successful primary write ships the same rows to the owner's K-1
     successor nodes (one charged SEND per row, tag ``REPLICA``) and applies
     them to the target's content bag (one charged INSERT-weight write per
-    row).  Inside an undo scope every replica write records its inverse, so
-    rolled-back statements leave the copies exactly consistent.
+    row).  The hook works per write *batch*: an ``insert_many`` of n rows
+    costs one ``send_many``, one ``replica_apply`` and — only while an undo
+    scope is open — one inverse per target, so rolled-back statements leave
+    the copies exactly consistent.
 
     ``paused`` suspends the hooks while a membership change rearranges the
     primaries; :meth:`sync` then re-converges the copies by diffing every
@@ -174,13 +176,21 @@ class Replicator:
         self.cluster = cluster
         self.k = k
         self.paused = False
+        #: ``replica_targets`` is a pure function of (owner, node count);
+        #: the write hook asks on every primary write.
+        self._targets: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------ routing
 
-    def targets(self, owner: int, num_nodes: Optional[int] = None) -> List[int]:
+    def targets(self, owner: int, num_nodes: Optional[int] = None) -> Tuple[int, ...]:
         cluster = self.cluster
         count = cluster.num_nodes if num_nodes is None else num_nodes
-        return cluster.membership.replica_targets(owner, count, self.k)
+        targets = self._targets.get((owner, count))
+        if targets is None:
+            targets = self._targets[(owner, count)] = tuple(
+                cluster.membership.replica_targets(owner, count, self.k)
+            )
+        return targets
 
     def elect_successor(self, owner: int) -> Optional[int]:
         """The first *live* replica target — failover's deterministic
@@ -194,7 +204,7 @@ class Replicator:
     # ------------------------------------------------------------- writes
 
     def on_write(
-        self, owner: int, name: str, action: str, rows: List[Row], tag: Tag
+        self, owner: int, name: str, action: str, rows: Sequence[Row], tag: Tag
     ) -> None:
         """Mirror one primary mutation onto every replica target (charged).
 
@@ -208,27 +218,28 @@ class Replicator:
             return
         cluster = self.cluster
         faults = cluster.faults
+        count = len(rows)
+        undo = cluster._undo_logs[-1] if cluster._undo_logs else None
         inverse = "del" if action == "ins" else "ins"
+        # The one copy, shared by every target's inverse: the records
+        # outlive the caller's list.
+        kept = tuple(rows) if undo is not None else ()
         for target in self.targets(owner):
             if faults is not None and faults.injector.is_down(target):
                 continue  # dead peer: degraded redundancy until failover
             try:
-                cluster.network.send_many(owner, target, len(rows), Tag.REPLICA)
+                cluster.network.send_many(owner, target, count, Tag.REPLICA)
             except (NodeDown, MessageLost):
                 # The peer (or the owner itself) died under the send, or
                 # the retry budget ran out: this copy goes stale.
                 continue
             node = cluster.nodes[target]
-            node.replica_apply(owner, name, action, list(rows), Tag.REPLICA)
-            cluster._record_undo(
-                lambda n=node, o=owner, m=name, a=inverse, r=list(rows): (
-                    n.replica_mirror(o, m, a, r)
-                ),
-                node=target,
-                tag=Tag.REPLICA,
-                writes=len(rows),
-                description=f"replica {inverse} of {len(rows)} row(s) of {name!r}",
-            )
+            node.replica_apply(owner, name, action, rows, Tag.REPLICA)
+            if undo is not None:
+                undo.record(
+                    node.replica_mirror, node=target, tag=Tag.REPLICA,
+                    writes=count, args=(owner, name, inverse, kept),
+                )
 
     # -------------------------------------------------------------- sync
 

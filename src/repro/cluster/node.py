@@ -9,7 +9,7 @@ to bill an access path.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..costs import CostLedger, Op, Tag
 from ..storage import (
@@ -148,7 +148,7 @@ class Node:
         rowids = self.fragment(name).insert_many(rows)
         self.ledger.charge(self.node_id, Op.INSERT, tag, count=len(rows))
         if self.replicator is not None:
-            self.replicator.on_write(self.node_id, name, "ins", list(rows), tag)
+            self.replicator.on_write(self.node_id, name, "ins", rows, tag)
         return rowids
 
     def delete_matching(
@@ -216,7 +216,9 @@ class Node:
             return []
         return sorted(bag.elements(), key=repr)
 
-    def replica_mirror(self, owner: int, name: str, action: str, rows: List[Row]) -> None:
+    def replica_mirror(
+        self, owner: int, name: str, action: str, rows: Sequence[Row]
+    ) -> None:
         """Apply a replica mutation without guard or charge (bookkeeping:
         the coordinator's replay mirror and undo reversal use this)."""
         bag = self.replica_bag(owner, name)
@@ -232,7 +234,7 @@ class Node:
             raise ValueError(f"unknown replica action {action!r}")
 
     def replica_apply(
-        self, owner: int, name: str, action: str, rows: List[Row], tag: Tag
+        self, owner: int, name: str, action: str, rows: Sequence[Row], tag: Tag
     ) -> None:
         """Apply a replica mutation here; bills one INSERT-weight write per
         row (the replica copy is a real table write in the model)."""

@@ -7,12 +7,16 @@ combined cost snapshot with the paper's two metrics.
 
 Since the fault-injection work the transaction also owns a real physical
 :class:`~repro.faults.undo.UndoLog`: every statement's mutations (base
-fragments, auxiliary relations, GI partitions, view fragments, catalog row
-counts) record their inverses into it, so :meth:`Transaction.rollback` — or
-an exception escaping the ``with`` block — restores the cluster to the state
-at ``__enter__``, rowids included.  Undone writes are charged only when a
-fault controller with ``charge_rollback`` is attached; a plain rollback is
-bookkeeping, keeping fault-free ledgers identical to the seed engine.
+fragments, auxiliary relations, GI partitions, view fragments, replica
+bags, catalog row counts) record their inverses into it, so
+:meth:`Transaction.rollback` — or an exception escaping the ``with`` block —
+restores the cluster to the state at ``__enter__``, rowids included.
+Statements inside a transaction run on the same batched engine as
+autocommit ones (an open scope does not change ``Cluster._bulk_ok``); a
+bulk write records one inverse per batch.  Undone writes are charged only
+when a fault controller with ``charge_rollback`` is attached; a plain
+rollback is bookkeeping, keeping fault-free ledgers identical to the seed
+engine.
 """
 
 from __future__ import annotations

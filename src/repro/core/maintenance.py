@@ -91,24 +91,6 @@ class JoinViewMaintainer:
 
     # ------------------------------------------------------------- driver
 
-    def _batch_mode(self) -> bool:
-        """Whether the batched fast path may run for this statement.
-
-        The batched engine is charge-equivalent only where the order of
-        primitive operations is immaterial: the fault-free path, where
-        ledger cells and network counters are commutative sums.  With a
-        fault controller attached (injector answers are keyed to the call
-        *sequence*) or an undo scope open (rollback needs per-mutation
-        inverse records), execution routes through the tuple-at-a-time
-        reference engine, which is the PR 1 code unchanged.
-        """
-        cluster = self.cluster
-        return (
-            cluster.batch_execution
-            and cluster.faults is None
-            and not cluster._undo_logs
-        )
-
     def apply(self, delta: Delta) -> None:
         """Propagate a base-relation delta into the view.
 
@@ -177,7 +159,7 @@ class JoinViewMaintainer:
         """Join delta rows through every hop of the plan."""
         if not placed:
             return []
-        batch = self._batch_mode()
+        batch = self.cluster._bulk_ok()
         engine = self._parallel_hop_engine() if batch else None
         obs = self.cluster.obs
         state: List[Intermediate] = [(p.node, p.row) for p in placed]

@@ -147,12 +147,13 @@ def maintain_views(cluster: "Cluster", delta: Delta) -> None:
     """Maintain every view registered on ``delta.relation``.
 
     The shared DAG engages only when it can pay off *and* stay honest:
-    at least two views, the batched fast path eligible (no faults, no
-    open undo scope — the same gate as ``JoinViewMaintainer._batch_mode``),
-    and sharing enabled on the cluster.  Otherwise this is exactly the
-    historical per-view loop, so single-view clusters (and every
-    fault/undo path) keep bit-identical ledgers, network counters, and
-    fragment contents.
+    at least two views, the batched engine running the statement
+    (``Cluster._bulk_ok`` — the gate the join hops and the bulk writes
+    read too; open undo scopes and replication do not close it), and
+    sharing enabled on the cluster.  Otherwise this is exactly the
+    historical per-view loop, so single-view clusters (and every fault
+    path) keep bit-identical ledgers, network counters, and fragment
+    contents.
     """
     views = cluster.catalog.views_on(delta.relation)
     if (

@@ -8,7 +8,16 @@ inverses in reverse order, restoring the cluster to the exact state before
 the scope opened, *including rowids* (GI rid-lists survive a rollback —
 see :meth:`repro.storage.heap.HeapTable.restore`).
 
-Undo closures operate on raw storage and deliberately bypass node
+An inverse is a callable plus its arguments.  The batched engine records
+one per write *batch* — ``fragment.delete_many`` with the rowids an
+``insert_many`` produced, ``fragment.restore`` with the (rowid, row) of a
+located delete, ``partition.delete_many`` with a GI entry batch,
+``setattr`` with a ``row_count``'s old value — as a bound method and an
+argument tuple, so the hot path builds no closure and formats no string.
+Arbitrary closures (deferred queues, aggregate rewrites, the per-tuple
+reference engine) record the same way with no arguments.
+
+Inverses operate on raw storage and deliberately bypass node
 liveness guards: the physical analogue is a crashed node applying its
 write-ahead undo records during local restart, which needs no
 interconnect.
@@ -23,28 +32,27 @@ tag, so aborted work is visible in TW/RT exactly like completed work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..costs import CostLedger, Op, Tag
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
-
-@dataclass
+@dataclass(slots=True)
 class UndoEntry:
-    """One recorded inverse operation.
+    """One recorded inverse operation: ``undo(*args)`` reverses it.
 
     ``writes`` is the number of physical write I/Os replaying the inverse
-    costs (0 for pure bookkeeping such as row-count restores); ``node`` and
-    ``tag`` say where/how to charge them.
+    costs (0 for pure bookkeeping such as row-count restores; ``n`` for a
+    batch of ``n`` tuples); ``node`` and ``tag`` say where/how to charge
+    them.
     """
 
-    undo: Callable[[], None]
+    undo: Callable[..., Any]
     node: Optional[int] = None
     tag: Optional[Tag] = None
     writes: int = 0
     description: str = ""
+    args: Tuple[Any, ...] = ()
 
 
 @dataclass
@@ -55,9 +63,14 @@ class RollbackReport:
     writes_charged: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class UndoLog:
-    """An append-only log of inverse operations for one atomic scope."""
+    """An append-only log of inverse operations for one atomic scope.
+
+    Scopes compare by identity: two open scopes with equal (for instance
+    both empty) entry lists are still different scopes, and the cluster's
+    scope stack removes exactly the one that is closing.
+    """
 
     entries: List[UndoEntry] = field(default_factory=list)
 
@@ -66,15 +79,15 @@ class UndoLog:
 
     def record(
         self,
-        undo: Callable[[], None],
+        undo: Callable[..., Any],
         node: Optional[int] = None,
         tag: Optional[Tag] = None,
         writes: int = 0,
         description: str = "",
+        args: Tuple[Any, ...] = (),
     ) -> None:
         self.entries.append(
-            UndoEntry(undo=undo, node=node, tag=tag, writes=writes,
-                      description=description)
+            UndoEntry(undo, node, tag, writes, description, args)
         )
 
     def rollback(
@@ -84,15 +97,16 @@ class UndoLog:
     ) -> RollbackReport:
         """Replay every inverse in reverse order and empty the log.
 
-        With ``charge=True`` and a ledger, each undone physical write bills
-        one write I/O (:attr:`Op.INSERT` weight — the model prices all
-        single-tuple mutations identically) at its node under the tag of
-        the forward operation.
+        With ``charge=True`` and a ledger, each undone physical write
+        (``writes`` of them for a batch entry) bills one write I/O
+        (:attr:`Op.INSERT` weight — the model prices all single-tuple
+        mutations identically) at its node under the tag of the forward
+        operation.
         """
         report = RollbackReport()
         while self.entries:
             entry = self.entries.pop()
-            entry.undo()
+            entry.undo(*entry.args)
             report.entries_undone += 1
             if (
                 charge

@@ -18,6 +18,7 @@ All query work is charged under :data:`~repro.costs.Tag.QUERY`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..costs import CostSnapshot, Op, Tag
@@ -99,14 +100,20 @@ class QueryEngine:
                     else:
                         raw = self._scan_view(match)
                         plan = f"view scan ({match.view.name})"
-                rows = [
-                    tuple(row[position] for position in match.select_positions)
-                    for row in raw
-                    if all(
-                        flt.matches(row[position])
-                        for position, flt in match.filter_positions
-                    )
-                ]
+                filters = match.filter_positions
+                if filters:
+                    raw = [
+                        row for row in raw
+                        if all(flt.matches(row[position]) for position, flt in filters)
+                    ]
+                # One compiled projection per match, not one generator per
+                # row; a single-column select still yields 1-tuples.
+                positions = match.select_positions
+                if len(positions) == 1:
+                    only = positions[0]
+                    rows = [(row[only],) for row in raw]
+                else:
+                    rows = list(map(itemgetter(*positions), raw))
             root.tag(rows=len(rows))
         if obs.enabled:
             obs.observe_span_latency(root, kind="query", plan=physical)

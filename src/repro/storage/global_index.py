@@ -15,7 +15,7 @@ costs its own FETCH.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -58,6 +58,11 @@ class GlobalIndexPartition:
         grids.remove(grid)
         if not grids:
             del self._entries[key]
+
+    def delete_many(self, entries: Sequence[Tuple[object, GlobalRowId]]) -> None:
+        """Undo an :meth:`insert_many`: delete its entries, newest first."""
+        for key, grid in reversed(entries):
+            self.delete(key, grid)
 
     def search(self, key: object) -> List[GlobalRowId]:
         """All global row ids of base tuples whose column equals ``key``."""

@@ -20,6 +20,7 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
 )
 
@@ -178,6 +179,12 @@ class IndexedHeap:
         for observer in self.observers:
             observer.on_delete(rowid, row)
         return row
+
+    def delete_many(self, rowids: Sequence[int]) -> None:
+        """Undo an :meth:`insert_many`: delete its rowids, newest first
+        (each index entry then leaves from the tail of its key's list)."""
+        for rowid in reversed(rowids):
+            self.delete(rowid)
 
     def restore(self, rowid: int, row: Row) -> None:
         """Undo a delete: revive the row under its original rowid and

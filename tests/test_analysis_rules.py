@@ -355,6 +355,30 @@ def test_rep006_undo_logged_function_clean(tmp_path):
     assert result.findings == []
 
 
+def test_rep006_bulk_write_owes_a_batch_inverse(tmp_path):
+    """The bulk paths run inside undo scopes: an ``insert_many`` with no
+    inverse is flagged, the same batch with one inverse for all of its
+    rowids (recorded by the function that wrote it) is clean."""
+    result = run_tree(tmp_path, {
+        "cluster/cluster.py": """
+            def bulk_unlogged(self, home, name, rows, tag):
+                return self.nodes[home].insert_many(name, rows, tag)
+
+            def bulk_logged(self, home, name, rows, tag):
+                node = self.nodes[home]
+                rowids = node.insert_many(name, rows, tag)
+                if self._undo_logs:
+                    self._undo_logs[-1].record(
+                        node.fragment(name).delete_many,
+                        node=home, tag=tag, writes=len(rowids), args=(rowids,),
+                    )
+                return rowids
+        """,
+    }, only=["REP006"])
+    assert rules_of(result) == ["REP006"]
+    assert "bulk_unlogged" in result.findings[0].message
+
+
 def test_rep006_def_level_annotation_and_noqa(tmp_path):
     result = run_tree(tmp_path, {
         "core/engine.py": """
