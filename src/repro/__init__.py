@@ -13,8 +13,10 @@ The library provides:
 * TPC-R-style workload generators (:mod:`repro.workloads`);
 * a SQLite-partition backend standing in for the commercial parallel
   RDBMS of the paper's validation experiments (:mod:`repro.backends`);
-* a benchmark harness regenerating every table and figure
-  (:mod:`repro.bench` plus the ``benchmarks/`` tree).
+* an experiment harness regenerating every table and figure as modeled
+  I/O counts (:mod:`repro.bench` plus the ``benchmarks/`` tree); wall-clock
+  speed is measured end to end by ``benchmarks/e2e/run.py``;
+* span tracing, metrics and a seeded load driver (:mod:`repro.obs`).
 
 Quickstart::
 

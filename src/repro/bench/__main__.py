@@ -6,8 +6,8 @@
     python -m repro.bench --profile fig7         # cProfile, top 25 by cumtime
 
 ``--profile`` wraps the selected experiments in :mod:`cProfile` and prints
-the 25 hottest call sites by cumulative time — the view used to find the
-batched engine's wins (see DESIGN.md and ``repro.bench.perf``).
+the 25 hottest call sites by cumulative time.  These experiments count
+modeled I/Os; wall-clock speed is measured by ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations

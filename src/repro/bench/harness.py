@@ -8,23 +8,10 @@ Every figure/table of the paper has an experiment function in
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..costs.report import ascii_table
-
-
-def config_seed(name: str) -> int:
-    """Deterministic RNG seed derived from a config/case name.
-
-    CRC-32 keeps the mapping stable across Python versions and processes
-    (unlike ``hash``), so any benchmark case can be re-run in isolation
-    from its name alone.  Shared by the wall-clock (``repro.bench.perf``)
-    and latency (``repro.bench.latency``) harnesses so their case seeds
-    never collide by accident.
-    """
-    return zlib.crc32(name.encode("utf-8")) & 0x7FFFFFFF
 
 
 @dataclass

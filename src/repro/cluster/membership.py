@@ -368,22 +368,32 @@ def _partitioned_objects(cluster: "Cluster") -> List[Tuple[str, object]]:
     return objects
 
 
-def _require_elastic_views(cluster: "Cluster", operation: str) -> None:
-    """Membership changes support plain join views (optionally deferred);
-    bespoke maintainers (aggregate views) own their fragments' layout and
-    must opt in explicitly before the cluster may reshape them."""
+def _require_elastic_views(
+    cluster: "Cluster", operation: str, shrinking: bool = False
+) -> None:
+    """Membership changes support plain join views (optionally deferred).
+    Aggregate views own their fragments' layout (a bespoke ``_group``
+    index a joining node would lack), so they take part only when the
+    cluster ``shrinking``: survivors keep their fragments and the group
+    hash rebinds to the smaller node count."""
+    from ..core.aggregates import AggregateViewMaintainer
     from ..core.deferred import DeferredMaintainer
     from ..core.maintenance import JoinViewMaintainer
 
+    allowed = (
+        (JoinViewMaintainer, AggregateViewMaintainer)
+        if shrinking else (JoinViewMaintainer,)
+    )
     for name in sorted(cluster.catalog.views):
         maintainer = cluster.catalog.views[name].maintainer
         if isinstance(maintainer, DeferredMaintainer):
             maintainer = maintainer.inner
-        if type(maintainer) is not JoinViewMaintainer:
+        if type(maintainer) not in allowed:
             raise NotImplementedError(
                 f"{operation}: view {name!r} uses a bespoke maintainer "
-                f"({type(maintainer).__name__}); elastic membership supports "
-                "plain join views only"
+                f"({type(maintainer).__name__}); {operation} supports "
+                + ("plain and aggregate" if shrinking else "plain")
+                + " join views only"
             )
 
 
@@ -709,7 +719,7 @@ def remove_node(cluster: "Cluster", node_id: int) -> MigrationReport:
             f"node {node_id} is down; graceful removal needs a live node "
             "(use fail_over for a crashed one)"
         )
-    _require_elastic_views(cluster, "remove_node")
+    _require_elastic_views(cluster, "remove_node", shrinking=True)
     _check_no_open_scope(cluster, "remove_node")
     membership = cluster.membership
     token = membership.tokens[node_id]
@@ -778,7 +788,7 @@ def fail_over(cluster: "Cluster", node_id: int) -> MigrationReport:
             "the lost fragments are unrecoverable online — restart the node "
             "and run ConsistencyAuditor.repair() instead"
         )
-    _require_elastic_views(cluster, "fail_over")
+    _require_elastic_views(cluster, "fail_over", shrinking=True)
     _check_no_open_scope(cluster, "fail_over")
     successor = replicator.elect_successor(node_id)
     if successor is None:

@@ -677,7 +677,8 @@ def _worker_main(cluster: "Cluster", conn, threshold: int) -> None:
 
     Reply envelope: ``("ok", results, cells, elapsed_ns, cpu_ns, events)``.
     ``cpu_ns`` (CPU time — immune to scheduler preemption, which matters on
-    core-starved runners) feeds the bench's per-worker skew report;
+    core-starved runners) feeds ``worker_busy_ns`` and the rebalancer's
+    busy-skew signal;
     ``elapsed_ns`` feeds the superstep-duration histogram; ``events``
     carries the compact :func:`_note_event` tallies of a traced superstep
     (empty otherwise).
@@ -711,7 +712,6 @@ def _worker_main(cluster: "Cluster", conn, threshold: int) -> None:
             conn.send_bytes(_encode((  # repro: uncharged-mirror=worker IPC stats reply, not a modeled message
                 "ok",
                 cache.stats() if cache is not None else {},
-                cache.heavy_hitters() if cache is not None else [],
             )))
             continue
         _, catalog_version, blocks, ops, trace = message
@@ -815,7 +815,6 @@ class ParallelEngine:
         #: die with their processes; this keeps their final counters
         #: collectable afterwards).
         self._final_cache_stats: List[Dict[str, int]] = []
-        self._final_heavy_hitters: List[list] = []
 
     @property
     def inline(self) -> bool:
@@ -863,7 +862,6 @@ class ParallelEngine:
         if self.running:
             try:
                 self._final_cache_stats = self.probe_cache_stats()
-                self._final_heavy_hitters = self.heavy_hitters()
             except (EOFError, OSError):  # pragma: no cover - dying workers
                 pass
         self.journal = None
@@ -1188,21 +1186,3 @@ class ParallelEngine:
             reply = _decode(conn.recv_bytes())
             stats.append(reply[1])
         return stats
-
-    def heavy_hitters(self) -> List[list]:
-        """Per-worker resident hot keys, ``(kind, node, structure,
-        key_repr, matches)`` tuples per worker — the bench's skew report.
-        Returns the :meth:`stop` snapshot once drained."""
-        if not self.running:
-            return self._final_heavy_hitters
-        if self.inline:
-            return [
-                self._inline_cache.heavy_hitters() if self._inline_cache else []
-            ]
-        for conn in self._conns:
-            conn.send_bytes(_encode(("stats",)))  # repro: uncharged-mirror=stats-collection IPC, not a modeled message
-        out: List[list] = []
-        for conn in self._conns:
-            reply = _decode(conn.recv_bytes())
-            out.append(reply[2])
-        return out

@@ -252,26 +252,3 @@ class HeavyHitterProbeCache:
             "resident_gi_keys": len(self._gi_groups),
             "resident_fetch_batches": len(self._fetch_rows),
         }
-
-    def heavy_hitters(self) -> List[Tuple[str, int, str, str, int]]:
-        """Resident hot keys as ``(kind, node, structure, key_repr,
-        matches)`` tuples in deterministic sorted order — the raw material
-        of the bench's skew-diagnosis report."""
-        out: List[Tuple[str, int, str, str, int]] = []
-        for (node_id, fragment, column, key), rows in self._index_rows.items():
-            out.append(
-                ("index", node_id, f"{fragment}.{column}", repr(key), len(rows))
-            )
-        for (node_id, gi_name, key), grouped in self._gi_groups.items():
-            out.append(
-                (
-                    "gi", node_id, gi_name, repr(key),
-                    sum(len(grids) for grids in grouped.values()),
-                )
-            )
-        for (node_id, relation, rowids), rows in self._fetch_rows.items():
-            out.append(
-                ("fetch", node_id, relation, f"{len(rowids)} rowids", len(rows))
-            )
-        out.sort()
-        return out

@@ -173,11 +173,14 @@ class AggregateViewMaintainer(JoinViewMaintainer):
         """Route each group's net contribution to its home node and fold it
         into the stored row there (probe + rewrite, tagged VIEW).
 
-        Every fragment mutation records its inverse through the cluster's
-        undo log: a transaction rollback (or an injected fault mid-
-        statement) must restore the *aggregate* rows along with the base
-        relations, or the folded counts/sums silently diverge from the
-        data they summarize.
+        Each rewrite is mirrored through the replica write hook.  The
+        fragment is written directly, not through ``Node.insert`` /
+        ``Node.delete_by_rowid``, because a rewrite is billed as one INSERT,
+        not one per half.  Every fragment mutation records its inverse
+        through the cluster's undo log: a transaction rollback (or an
+        injected fault mid-statement) must restore the *aggregate* rows
+        along with the base relations, or the folded counts/sums silently
+        diverge from the data they summarize.
         """
         view = self.view_info
         name = view.name
@@ -191,6 +194,7 @@ class AggregateViewMaintainer(JoinViewMaintainer):
                 home = view.partitioner.node_of_key(group)
                 self.cluster.network.send(source_node, home, Tag.VIEW)
                 node = self.cluster.nodes[home]
+                replicator = node.replicator
                 fragment = node.fragment(name)
                 index = fragment.index_on("_group")
                 node.ledger.charge(home, Op.SEARCH, Tag.VIEW)
@@ -204,15 +208,18 @@ class AggregateViewMaintainer(JoinViewMaintainer):
                         for i in range(len(sums_delta))
                     ]
                     fragment.delete(rowid)
+                    if replicator is not None:
+                        replicator.on_write(home, name, "del", [stored], Tag.VIEW)
                     record_undo(
                         lambda f=fragment, r=rowid, t=stored: f.restore(r, t),
                         node=home, tag=Tag.VIEW, writes=1,
                         description=f"restore {name} aggregate row",
                     )
                     if new_count > 0:
-                        new_rowid = fragment.insert(
-                            group + (new_count,) + tuple(new_sums)
-                        )
+                        new_row = group + (new_count,) + tuple(new_sums)
+                        new_rowid = fragment.insert(new_row)
+                        if replicator is not None:
+                            replicator.on_write(home, name, "ins", [new_row], Tag.VIEW)
                         record_undo(
                             lambda f=fragment, r=new_rowid: f.delete(r),
                             node=home, tag=Tag.VIEW, writes=1,
@@ -231,9 +238,10 @@ class AggregateViewMaintainer(JoinViewMaintainer):
                             f"aggregate group {group!r} underflow in {name!r}"
                         )
                     if count_delta > 0:
-                        new_rowid = fragment.insert(
-                            group + (count_delta,) + tuple(sums_delta)
-                        )
+                        new_row = group + (count_delta,) + tuple(sums_delta)
+                        new_rowid = fragment.insert(new_row)
+                        if replicator is not None:
+                            replicator.on_write(home, name, "ins", [new_row], Tag.VIEW)
                         record_undo(
                             lambda f=fragment, r=new_rowid: f.delete(r),
                             node=home, tag=Tag.VIEW, writes=1,
@@ -483,3 +491,7 @@ class _GroupPartitioner:
 
     def node_of_row(self, row: Row) -> int:
         return self.node_of_key(row[: self.group_arity])
+
+    def rebind(self, num_nodes: int) -> "_GroupPartitioner":
+        """The same placement against a changed node count (modulo remap)."""
+        return _GroupPartitioner(self.schema, num_nodes, self.group_arity)

@@ -20,12 +20,6 @@ Quickstart::
 Or from the shell: ``python -m repro.obs snapshot`` (see ``--help``).
 """
 
-from .attribution import (
-    PHASES,
-    attribute_roots,
-    fold_phases,
-    tail_attribution,
-)
 from .collect import (
     DISABLED,
     Observability,
@@ -39,14 +33,7 @@ from .export import (
     validate_chrome_trace,
     validate_prometheus_range,
 )
-from .load import (
-    build_schedule,
-    execute_schedule,
-    find_knee,
-    latency_summary,
-    open_loop_from_arrivals,
-    open_loop_latencies,
-)
+from .load import build_schedule, execute_schedule
 from .metrics import (
     LATENCY_BUCKETS,
     Counter,
@@ -83,17 +70,9 @@ __all__ = [
     "validate_chrome_trace",
     "render_tree",
     "render_chrome_trace",
-    "PHASES",
-    "attribute_roots",
-    "fold_phases",
-    "tail_attribution",
     "validate_prometheus_range",
     "build_schedule",
     "execute_schedule",
-    "find_knee",
-    "latency_summary",
-    "open_loop_from_arrivals",
-    "open_loop_latencies",
     "LATENCY_BUCKETS",
     "parse_prometheus",
     "render_timeline",

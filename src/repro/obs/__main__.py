@@ -6,7 +6,7 @@ Subcommands::
                metrics.prom, and metrics.json into --out
     diff       per-sample deltas between two metrics.json snapshots
     render     tree view of an exported Chrome-trace JSON file
-    timeline   run the open-loop load driver sampling metrics on a fixed
+    timeline   run the seeded load driver sampling metrics on a fixed
                cadence; write timeline.jsonl + timeline-range.json and
                print a sparkline view
 

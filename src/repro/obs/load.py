@@ -1,31 +1,17 @@
-"""Open-loop load driver: latency percentiles, not just tuples/sec.
+"""Load driver: a seeded mixed schedule, executed once and measured.
 
-ROADMAP item 3's serving-layer half.  A **closed-loop** driver (issue,
-wait, issue) measures service time under zero queueing and silently
-self-throttles as the server slows — its percentiles flatter a saturated
-system.  An **open-loop** driver arrives on its own schedule regardless of
-completions, so latency includes the queueing that real clients feel and
-blows up visibly past the capacity knee.
+A deterministic schedule of update statements, mixed read queries and
+(for deferred views) a final refresh runs exactly once against the
+cluster, each operation's wall-clock *service time* measured.  The
+schedule is a pure function of its seed — measurement wraps the calls but
+never steers them, so ledger cells, network stats, and fragment contents
+are bit-identical with measurement on or off (pinned by test).
 
-Sleeping a real client loop at the target rate would make wall-clock time
-dominate the benchmark (minutes per rate step) and — worse — make the
-statement *mix* depend on timing.  This driver splits the two concerns:
-
-1. **Execute** a seeded deterministic schedule of update statements and
-   mixed read queries exactly once against the cluster, measuring each
-   operation's wall-clock *service time*.  The schedule is a pure function
-   of its seed — measurement wraps the calls but never steers them, so
-   ledger cells, network stats, and fragment contents are bit-identical
-   with measurement on or off (pinned by test).
-2. **Simulate** the open-loop single-server queue at each arrival rate
-   over those measured service times: seeded exponential interarrivals,
-   ``finish_i = max(arrival_i, finish_{i-1}) + service_i``, latency =
-   sojourn time.  One execution yields the full saturation curve; the
-   modeled charges are identical at every rate by construction.
-
-Latencies land in a log-bucketed :class:`~repro.obs.metrics.Histogram`
-(``repro_stmt_latency_seconds``) whose quantile estimator produces the
-p50/p95/p99/max the percentile reports carry.
+Service times land in a log-bucketed :class:`~repro.obs.metrics.Histogram`
+(``repro_stmt_latency_seconds``); an optional
+:class:`~repro.obs.timeseries.TimeSeriesCollector` samples the registry on
+the cumulative-service-time clock, which is what
+``python -m repro.obs timeline`` renders.
 """
 
 from __future__ import annotations
@@ -33,9 +19,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .metrics import LATENCY_BUCKETS, Histogram, MetricsRegistry
+from .metrics import LATENCY_BUCKETS, MetricsRegistry
 from .timeseries import TimeSeriesCollector
 
 __all__ = [
@@ -43,10 +29,6 @@ __all__ = [
     "OpTiming",
     "build_schedule",
     "execute_schedule",
-    "open_loop_from_arrivals",
-    "open_loop_latencies",
-    "latency_summary",
-    "find_knee",
 ]
 
 #: Cadence (in completed operations) of time-series sampling during a run.
@@ -184,84 +166,3 @@ def execute_schedule(
     if collector is not None and len(ops) % cadence != 0:
         collector.sample(clock)  # final partial window
     return timings
-
-
-# ------------------------------------------------------- open-loop queue
-
-
-def open_loop_from_arrivals(
-    service_seconds: Sequence[float], arrivals: Sequence[float]
-) -> List[float]:
-    """Sojourn times of an open-loop single-server FIFO queue.
-
-    ``latency_i = max(arrival_i, finish_{i-1}) + service_i - arrival_i``:
-    queueing delay plus service.  Pure arithmetic — exact, deterministic,
-    and independent of how the arrival times were drawn.
-    """
-    if len(service_seconds) != len(arrivals):
-        raise ValueError("service and arrival sequences must align")
-    latencies: List[float] = []
-    finish = 0.0
-    for arrival, service in zip(arrivals, service_seconds):
-        finish = max(arrival, finish) + service
-        latencies.append(finish - arrival)
-    return latencies
-
-
-def open_loop_latencies(
-    service_seconds: Sequence[float], arrival_rate: float, seed: int
-) -> List[float]:
-    """Latencies under seeded Poisson arrivals at ``arrival_rate`` ops/s."""
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be > 0")
-    rng = random.Random(seed)
-    clock = 0.0
-    arrivals: List[float] = []
-    for _ in service_seconds:
-        clock += rng.expovariate(arrival_rate)
-        arrivals.append(clock)
-    return open_loop_from_arrivals(service_seconds, arrivals)
-
-
-# ------------------------------------------------------------ summaries
-
-
-def latency_summary(
-    latencies: Sequence[float],
-    histogram: Optional[Histogram] = None,
-    **labels: object,
-) -> Dict[str, float]:
-    """p50/p95/p99/max/mean of a latency sample, via the log-bucketed
-    histogram quantile estimator (observing into ``histogram`` when given,
-    else a private one)."""
-    if not latencies:
-        raise ValueError("latency_summary needs at least one sample")
-    if histogram is None:
-        histogram = Histogram(
-            "repro_stmt_latency_seconds", buckets=LATENCY_BUCKETS
-        )
-    for value in latencies:
-        histogram.observe(value, **labels)
-    return {
-        "p50": histogram.quantile(0.50, **labels),
-        "p95": histogram.quantile(0.95, **labels),
-        "p99": histogram.quantile(0.99, **labels),
-        "max": histogram.max_value(**labels),
-        "mean": histogram.sum(**labels) / histogram.count(**labels),
-    }
-
-
-def find_knee(
-    rates: Sequence[float], p99s: Sequence[float], knee_factor: float
-) -> Optional[float]:
-    """The highest arrival rate whose p99 stays within ``knee_factor`` of
-    the lowest rate's p99 — the saturation knee.  ``None`` when even the
-    base rate blows past itself (degenerate) or inputs are empty."""
-    if not rates or len(rates) != len(p99s):
-        return None
-    budget = knee_factor * p99s[0]
-    knee: Optional[float] = None
-    for rate, p99 in zip(rates, p99s):
-        if p99 <= budget:
-            knee = rate if knee is None else max(knee, rate)
-    return knee

@@ -1,4 +1,4 @@
-"""Open-loop load driver (repro.obs.load).
+"""Load driver (repro.obs.load).
 
 The acceptance-critical pin lives here: measurement must be charge-neutral.
 Running the identical seeded schedule with wall-clock measurement on
@@ -12,14 +12,7 @@ import pytest
 from repro.core.deferred import defer_view
 from repro.costs.ledger import format_cell_diff
 from repro.obs.collect import attach_observability
-from repro.obs.load import (
-    build_schedule,
-    execute_schedule,
-    find_knee,
-    latency_summary,
-    open_loop_from_arrivals,
-    open_loop_latencies,
-)
+from repro.obs.load import build_schedule, execute_schedule
 from repro.obs.timeseries import TimeSeriesCollector
 from repro.workloads.skewed import SkewedJoinWorkload, build_skewed_cluster
 
@@ -230,45 +223,3 @@ def test_query_latency_kinds_cover_plans():
     finally:
         cluster.close()
 
-
-# ---------------------------------------------------------- queue replay
-
-
-def test_open_loop_queue_hand_computed():
-    """arrivals [0,1,2] + service [0.5,2,0.5]: the third op waits behind
-    the second (finish 3.0), so latencies are [0.5, 2.0, 1.5]."""
-    latencies = open_loop_from_arrivals([0.5, 2.0, 0.5], [0.0, 1.0, 2.0])
-    assert latencies == [0.5, 2.0, 1.5]
-
-
-def test_open_loop_rejects_misaligned_inputs():
-    with pytest.raises(ValueError):
-        open_loop_from_arrivals([1.0], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        open_loop_latencies([1.0], arrival_rate=0.0, seed=1)
-
-
-def test_open_loop_latency_grows_with_rate():
-    """Same seed: arrivals scale inversely with the rate, so every sojourn
-    time is monotone in offered load."""
-    service = [0.01] * 200
-    slow = open_loop_latencies(service, arrival_rate=10.0, seed=5)
-    fast = open_loop_latencies(service, arrival_rate=200.0, seed=5)
-    assert all(f >= s for s, f in zip(slow, fast))
-    assert latency_summary(fast)["p99"] > latency_summary(slow)["p99"]
-
-
-def test_latency_summary_shape():
-    summary = latency_summary([0.001, 0.002, 0.004, 0.1])
-    assert set(summary) == {"p50", "p95", "p99", "max", "mean"}
-    assert summary["p50"] <= summary["p95"] <= summary["p99"] <= summary["max"]
-    assert summary["max"] == 0.1
-    with pytest.raises(ValueError):
-        latency_summary([])
-
-
-def test_find_knee():
-    assert find_knee([1, 2, 4, 8], [1.0, 1.0, 2.0, 100.0], 8.0) == 4
-    assert find_knee([1, 2], [1.0, 1.0], 8.0) == 2  # never blows inside sweep
-    assert find_knee([], [], 8.0) is None
-    assert find_knee([1, 2], [1.0], 8.0) is None  # misaligned

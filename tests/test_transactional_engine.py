@@ -7,13 +7,8 @@ pass; after every rollback the physical state must equal a deep copy taken
 at ``__enter__``; and because the batched engine is a pure speed change,
 its ledger, network counters and surviving rowids must equal the
 tuple-at-a-time reference engine's (``Cluster(batch_execution=False)``) on
-the same script.
-
-Two known gaps outside this suite's subject shape the oracle for the
-aggregate view: ``ConsistencyAuditor.audit_view`` compares stored
-aggregate rows against the *join* rows, and aggregate rewrites bypass the
-replica write hook — so that view is checked against
-``recompute_aggregate`` and its replica bags are not audited.
+the same script.  The auditor checks the aggregate view against
+``recompute_aggregate`` and its replica bags like any other view's.
 """
 
 from collections import Counter
@@ -35,9 +30,7 @@ from repro.core.aggregates import (
     Aggregate,
     AggregateFunction,
     AggregateSpec,
-    aggregate_rows,
     define_aggregate_join_view,
-    recompute_aggregate,
 )
 from repro.core.deferred import defer_view
 from repro.costs import Tag
@@ -247,13 +240,8 @@ def physical_state(cluster):
     }
 
 
-def assert_consistent(cluster, shape):
+def assert_consistent(cluster):
     findings = ConsistencyAuditor(cluster).audit().findings
-    if shape == "aggregate":
-        findings = [f for f in findings if not f.name.startswith("AGG")]
-        assert Counter(aggregate_rows(cluster, "AGG")) == Counter(
-            recompute_aggregate(cluster, "AGG")
-        )
     assert not findings, [f.describe() for f in findings]
 
 
@@ -293,8 +281,8 @@ def test_transactions_hold_the_invariant_on_the_batched_engine(
         run_transaction(reference, ending, statements)
         if before is not None:
             assert physical_state(batched) == before
-        assert_consistent(batched, shape)
-        assert_consistent(reference, shape)  # same deferred flushes on both
+        assert_consistent(batched)
+        assert_consistent(reference)  # same deferred flushes on both
     assert_same_outcome(batched, reference, shape)
 
 
