@@ -2,19 +2,16 @@
 
 Usage::
 
-    python -m repro.analysis src/                      # text report
+    python -m repro.analysis src/                      # text report, all rules
     python -m repro.analysis --format=json src/        # CI artifact
-    python -m repro.analysis --baseline=analysis-baseline.json src/
-    python -m repro.analysis --write-baseline src/     # grandfather current
-    python -m repro.analysis --rules=REP001,REP002 src/
-    python -m repro.analysis --flow src/               # + REP007-REP009
-    python -m repro.analysis --flow --dot=callgraph.dot src/
+    python -m repro.analysis --rules=REP002,REP007 src/
+    python -m repro.analysis --dot=callgraph.dot src/  # + call-graph export
     python -m repro.analysis --audit-suppressions src/
     python -m repro.analysis --list-rules
     python -m repro.analysis interleave --workers=2,4 --seeds=17
 
-Exit status: 0 when clean, 1 when findings (or stale baseline entries, or
-stale suppressions, or divergent schedules) remain, 2 on usage errors.
+Exit status: 0 when clean, 1 when findings (or stale suppressions, or
+divergent schedules) remain, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ import os
 import sys
 from typing import List, Optional
 
-from .baseline import Baseline, load_baseline, save_baseline
 from .engine import analyze_paths
+from .flow import FLOW_RULES, build_project
 from .reporters import exit_code, render_json, render_text
 from .rules import RULES
 
@@ -34,8 +31,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Domain-aware static checks for the repro engine "
-        "(charged sends, determinism, obs purity, cost constants, "
-        "envelope vocabulary, undo logging; --flow adds the "
+        "(determinism, obs purity, envelope vocabulary, and the "
         "interprocedural charge-flow, taint, and undo-domination rules).",
     )
     parser.add_argument(
@@ -51,32 +47,14 @@ def _parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="JSON baseline of accepted findings; matching findings are "
-        "dropped, stale entries are reported",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline (default analysis-baseline.json) to accept "
-        "every current finding, then exit 0",
-    )
-    parser.add_argument(
         "--rules",
         metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="also build the project call graph and run the "
-        "interprocedural rules (REP007-REP009)",
-    )
-    parser.add_argument(
         "--dot",
         metavar="PATH",
-        help="with --flow: write the project call graph as Graphviz DOT",
+        help="also write the project call graph as Graphviz DOT",
     )
     parser.add_argument(
         "--audit-suppressions",
@@ -170,24 +148,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _interleave_main(argv[1:])
     args = _parser().parse_args(argv)
     if args.list_rules:
-        from .flow import FLOW_RULES
-
-        for rule_id in sorted(RULES):
-            info = RULES[rule_id]
+        for rule_id in sorted({**RULES, **FLOW_RULES}):
+            info = RULES.get(rule_id) or FLOW_RULES[rule_id]
+            kind = "(flow) " if rule_id in FLOW_RULES else ""
             suffix = (
                 f"  [annotation: # repro: {info.annotation}=<reason>]"
                 if info.annotation
                 else ""
             )
-            print(f"{rule_id}  {info.summary}{suffix}")
-        for rule_id in sorted(FLOW_RULES):
-            flow_info = FLOW_RULES[rule_id]
-            suffix = (
-                f"  [annotation: # repro: {flow_info.annotation}=<reason>]"
-                if flow_info.annotation
-                else ""
-            )
-            print(f"{rule_id}  (flow) {flow_info.summary}{suffix}")
+            print(f"{rule_id}  {kind}{info.summary}{suffix}")
         return 0
 
     targets = args.targets or (["src"] if os.path.isdir("src") else ["."])
@@ -206,54 +175,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
         return 0
 
-    if args.dot and not args.flow:
-        print("--dot requires --flow (it exports the call graph)",
-              file=sys.stderr)
-        return 2
-
     only_rules = (
         [r.strip() for r in args.rules.split(",") if r.strip()]
         if args.rules
         else None
     )
 
-    baseline: Optional[Baseline] = None
-    baseline_path = args.baseline
-    if args.write_baseline and baseline_path is None:
-        baseline_path = "analysis-baseline.json"
-    if baseline_path and not args.write_baseline:
-        if not os.path.exists(baseline_path):
-            print(f"baseline file not found: {baseline_path}", file=sys.stderr)
-            return 2
-        baseline = load_baseline(baseline_path)
-
     contexts = {} if args.dot else None
     try:
         result = analyze_paths(
-            targets,
-            baseline=baseline,
-            only_rules=only_rules,
-            flow=args.flow,
-            contexts_out=contexts,
+            targets, only_rules=only_rules, contexts_out=contexts
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
     if args.dot and contexts is not None:
-        from .flow import build_project
-
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(build_project(contexts).graph.to_dot())
         print(f"wrote call graph to {args.dot}", file=sys.stderr)
-
-    if args.write_baseline:
-        save_baseline(baseline_path, Baseline.from_findings(result.findings))
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
 
     render = render_json if args.format == "json" else render_text
     sys.stdout.write(render(result))

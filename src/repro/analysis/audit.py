@@ -14,10 +14,9 @@ audit compares that against the full inventory:
   checked its key at its line — i.e. the annotated construct still exists
   and still triggers the rule that honours the key.
 
-Everything else is stale and exits 1.  The audit runs the *full* rule set
-including the interprocedural layer, so annotations that only the flow
-rules consult (a ``no-undo`` justifying an entry-point path, say) are
-correctly counted as live.
+Everything else is stale and exits 1.  The audit runs the *full* rule set,
+so annotations that only the flow rules consult (a ``no-undo`` justifying
+an entry-point path, say) are correctly counted as live.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ def audit_suppressions(targets: Sequence[str]) -> Dict[str, object]:
     non-zero count as failure.
     """
     contexts: Dict[str, RuleContext] = {}
-    analyze_paths(targets, flow=True, contexts_out=contexts)
+    analyze_paths(targets, contexts_out=contexts)
     entries: List[Dict[str, object]] = []
     for path in sorted(contexts):
         suppressions = contexts[path].suppressions

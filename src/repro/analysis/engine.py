@@ -1,4 +1,4 @@
-"""The analysis engine: file discovery, rule dispatch, noqa, baseline.
+"""The analysis engine: file discovery, rule dispatch, noqa.
 
 ``analyze_paths`` is the one entry point (the CLI and the tests both call
 it).  Per file it parses the AST once, extracts ``# repro:`` comments with
@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .baseline import Baseline
-from .findings import AnalysisResult, Finding, fingerprint_findings
+from .findings import AnalysisResult, Finding
+from .flow import FLOW_RULES, run_flow_rules
 from .rules import RULES, RuleInfo
 from .rules.base import RuleContext, compute_scopes
 from .suppressions import parse_suppressions
@@ -65,32 +66,26 @@ def _module_relative(absolute: str, root: str) -> str:
 
 def analyze_paths(
     targets: Sequence[str],
-    baseline: Optional[Baseline] = None,
     only_rules: Optional[Iterable[str]] = None,
-    flow: bool = False,
     contexts_out: Optional[Dict[str, RuleContext]] = None,
 ) -> AnalysisResult:
-    """Run every enabled rule over ``targets`` and fold in the baseline.
+    """Run every enabled rule (default: all) over ``targets``.
 
-    ``flow=True`` additionally builds the project call graph and runs the
-    interprocedural rules (REP007–REP009, :mod:`repro.analysis.flow`) over
-    the same parsed files; their findings share the fingerprint scheme,
-    the noqa machinery, and the baseline.  ``contexts_out`` (the audit's
-    hook) receives every file's :class:`RuleContext`, whose suppression
-    objects carry the use-records accumulated by this run.
+    The per-file rules run as each file is parsed; the interprocedural
+    rules (REP007-REP009, :mod:`repro.analysis.flow`) then run over the
+    same parsed files and share the noqa machinery.  The project call graph
+    is built only when one of those is enabled.  ``contexts_out`` (the
+    audit's hook) receives every file's :class:`RuleContext`, whose
+    suppression objects carry the use-records accumulated by this run.
     """
-    flow_only: Optional[List[str]] = None
-    if flow:
-        from .flow import FLOW_RULES
-
-        if only_rules is not None:
-            wanted = {r for r in only_rules}
-            unknown = wanted - set(RULES) - set(FLOW_RULES)
-            if unknown:
-                raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-            flow_only = sorted(wanted & set(FLOW_RULES))
-            only_rules = sorted(wanted - set(FLOW_RULES))
-    enabled = _enabled_rules(only_rules)
+    wanted = (
+        set(RULES) | set(FLOW_RULES) if only_rules is None else set(only_rules)
+    )
+    unknown = wanted - set(RULES) - set(FLOW_RULES)
+    if unknown:
+        raise ValueError(f"unknown rule ids: {sorted(unknown)}")
+    enabled = [RULES[rule_id] for rule_id in sorted(wanted & set(RULES))]
+    flow_enabled = sorted(wanted & set(FLOW_RULES))
     result = AnalysisResult()
     raw: List[Finding] = []
     source_lines: Dict[str, List[str]] = {}
@@ -105,10 +100,8 @@ def analyze_paths(
         source_lines[relative] = lines
         if context is not None:
             contexts[relative] = context
-    if flow:
-        from .flow import run_flow_rules
-
-        for finding in run_flow_rules(contexts, flow_only):
+    if flow_enabled:
+        for finding in run_flow_rules(contexts, flow_enabled):
             context = contexts.get(finding.path)
             if context is not None and context.suppressions.is_noqa(
                 finding.rule, finding.line
@@ -118,32 +111,18 @@ def analyze_paths(
                 raw.append(finding)
     if contexts_out is not None:
         contexts_out.update(contexts)
-    fingerprinted = fingerprint_findings(raw, source_lines)
-    if baseline is not None:
-        kept: List[Finding] = []
-        matched: Set[str] = set()
-        for finding in fingerprinted:
-            if baseline.covers(finding.fingerprint):
-                matched.add(finding.fingerprint)
-                result.baselined += 1
-            else:
-                kept.append(finding)
-        result.stale_baseline = sorted(baseline.fingerprints - matched)
-        fingerprinted = kept
     result.findings = sorted(
-        fingerprinted, key=lambda f: (f.path, f.line, f.column, f.rule)
+        (_with_snippet(f, source_lines.get(f.path, [])) for f in raw),
+        key=lambda f: (f.path, f.line, f.column, f.rule),
     )
     return result
 
 
-def _enabled_rules(only_rules: Optional[Iterable[str]]) -> List[RuleInfo]:
-    if only_rules is None:
-        return [RULES[rule_id] for rule_id in sorted(RULES)]
-    wanted = set(only_rules)
-    unknown = wanted - set(RULES)
-    if unknown:
-        raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-    return [RULES[rule_id] for rule_id in sorted(wanted)]
+def _with_snippet(finding: Finding, lines: List[str]) -> Finding:
+    """``finding`` with its whitespace-normalized source line attached."""
+    if not 0 < finding.line <= len(lines):
+        return finding
+    return replace(finding, snippet=" ".join(lines[finding.line - 1].split()))
 
 
 def _analyze_file(

@@ -1,17 +1,12 @@
-"""Findings: what a rule reports, and how a finding is fingerprinted.
+"""Findings: what a rule reports, and what one analysis run produced.
 
-A :class:`Finding` pins one invariant violation to a source location.  Its
-``fingerprint`` is deliberately *line-number free*: it hashes the rule id,
-the module-relative path, the normalized text of the offending line, and
-the occurrence index among identical lines in the file.  Adding code above
-a baselined finding therefore does not expire it, while editing the
-offending line (presumably to fix it) does — exactly the churn behaviour a
-baseline file needs.
+A :class:`Finding` pins one invariant violation to a source location; the
+engine fills in ``snippet`` (the offending line, whitespace-normalized)
+for the reports.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -20,13 +15,12 @@ from typing import Dict, List
 class Finding:
     """One rule violation at one source location."""
 
-    rule: str            # e.g. "REP001"
+    rule: str            # e.g. "REP007"
     path: str            # module-relative path, e.g. "cluster/network.py"
     line: int            # 1-based line number
     column: int          # 0-based column offset
     message: str
     snippet: str = ""    # the stripped source line, for reports
-    fingerprint: str = ""
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -36,7 +30,6 @@ class Finding:
             "column": self.column,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
     @staticmethod
@@ -48,50 +41,7 @@ class Finding:
             column=int(payload.get("column", 0)),  # type: ignore[arg-type]
             message=str(payload.get("message", "")),
             snippet=str(payload.get("snippet", "")),
-            fingerprint=str(payload.get("fingerprint", "")),
         )
-
-
-def _normalize(line: str) -> str:
-    """Whitespace-insensitive form of a source line."""
-    return " ".join(line.split())
-
-
-def fingerprint_findings(
-    findings: List[Finding], source_lines: Dict[str, List[str]]
-) -> List[Finding]:
-    """Return ``findings`` with stable fingerprints filled in.
-
-    ``source_lines`` maps each path to its source split into lines.  The
-    occurrence index disambiguates several identical lines violating the
-    same rule in one file (fingerprints stay stable under reordering of
-    unrelated code).
-    """
-    seen: Dict[str, int] = {}
-    out: List[Finding] = []
-    for finding in findings:
-        lines = source_lines.get(finding.path, [])
-        text = (
-            _normalize(lines[finding.line - 1])
-            if 0 < finding.line <= len(lines)
-            else ""
-        )
-        base = f"{finding.rule}:{finding.path}:{text}"
-        index = seen.get(base, 0)
-        seen[base] = index + 1
-        digest = hashlib.sha256(f"{base}:{index}".encode("utf-8")).hexdigest()[:16]
-        out.append(
-            Finding(
-                rule=finding.rule,
-                path=finding.path,
-                line=finding.line,
-                column=finding.column,
-                message=finding.message,
-                snippet=text,
-                fingerprint=digest,
-            )
-        )
-    return out
 
 
 @dataclass
@@ -100,6 +50,4 @@ class AnalysisResult:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0          # findings silenced by noqa/annotations
-    baselined: int = 0           # findings silenced by the baseline file
-    stale_baseline: List[str] = field(default_factory=list)  # unmatched entries
     files_analyzed: int = 0

@@ -2,16 +2,14 @@
 domination), and the registration table that also hosts REP008 (the
 determinism taint engine in :mod:`.taint`).
 
-These promote the per-site rules REP001/REP002/REP006 to whole-program
-proofs over the :mod:`.callgraph`: a site is no longer judged by its own
-function alone but by every **call path** that reaches it from a statement
-entry point, and each finding carries the shortest offending path as an
-``entry → … → sink`` witness.  Findings reuse the ordinary
-:class:`~repro.analysis.findings.Finding` schema (so baselines, noqa, and
-the reporters all apply unchanged), and each rule honours the *same*
-domain annotation as its intra-file counterpart — but accepts it anywhere
-on the path, which is exactly the interprocedural promotion: a justified
-wrapper clears every route through it.
+These are whole-program proofs over the :mod:`.callgraph`: a site is
+judged not by its own function alone but by every **call path** that
+reaches it from a statement or DDL entry point, and each finding carries
+the shortest offending path as an ``entry → … → sink`` witness.  Findings
+use the ordinary :class:`~repro.analysis.findings.Finding` schema (so noqa
+and the reporters apply unchanged), and each rule honours one domain
+annotation anywhere on the path: a justified wrapper clears every route
+through it.
 
 Path searches are deterministic (BFS in sorted order) and per-rule edge
 policies differ on purpose:
@@ -40,7 +38,6 @@ from .callgraph import (
 )
 from .findings import Finding
 from .rules.base import RuleContext, call_name, expr_text, trailing_name
-from .rules.rep006_undo import _is_storage_mutation, _touches_undo
 
 
 @dataclass
@@ -92,28 +89,20 @@ def build_project(contexts: Dict[str, RuleContext]) -> Project:
 
 
 def run_flow_rules(
-    contexts: Dict[str, RuleContext],
-    only_rules: Optional[Iterable[str]] = None,
+    contexts: Dict[str, RuleContext], rule_ids: Iterable[str]
 ) -> List[Finding]:
-    """Run the enabled interprocedural rules over one shared project."""
-    if only_rules is None:
-        enabled = sorted(FLOW_RULES)
-    else:
-        enabled = sorted(set(only_rules))
-        unknown = [r for r in enabled if r not in FLOW_RULES]
-        if unknown:
-            raise ValueError(f"unknown flow rule ids: {unknown}")
+    """Run the named interprocedural rules over one shared project."""
     project = build_project(contexts)
     findings: List[Finding] = []
-    for rule_id in enabled:
+    for rule_id in rule_ids:
         findings.extend(FLOW_RULES[rule_id].fn(project))
     return findings
 
 
 # ========================================================== entry points
 
-#: Statement-level entry points: the public surfaces a user statement,
-#: transaction, deferred refresh, membership change, or fault replay
+#: Entry points: the public surfaces a user statement, transaction,
+#: deferred refresh, membership change, fault replay, or DDL statement
 #: enters the engine through.  ``(class, method)``; ``None`` matches
 #: module-level functions.  Fixture trees in the tests use the same
 #: names, so seeded violations anchor to the same table.
@@ -124,6 +113,15 @@ ENTRY_POINTS: Tuple[Tuple[Optional[str], str], ...] = (
     ("Cluster", "add_node"),
     ("Cluster", "remove_node"),
     ("Cluster", "fail_over"),
+    ("Cluster", "create_relation"),
+    ("Cluster", "create_index"),
+    ("Cluster", "create_auxiliary_relation"),
+    ("Cluster", "create_global_index"),
+    ("Cluster", "create_join_view"),
+    ("Cluster", "create_view_from_sql"),
+    ("Cluster", "drop_view"),
+    ("Cluster", "drop_auxiliary_relation"),
+    ("Cluster", "drop_global_index"),
     ("Transaction", "insert"),
     ("Transaction", "delete"),
     ("Transaction", "update"),
@@ -136,6 +134,8 @@ ENTRY_POINTS: Tuple[Tuple[Optional[str], str], ...] = (
     (None, "add_node"),
     (None, "remove_node"),
     (None, "fail_over"),
+    (None, "define_join_view"),
+    (None, "define_aggregate_join_view"),
 )
 
 
@@ -320,22 +320,56 @@ def check_charge_flow(project: Project) -> Iterable[Finding]:
 
 # ================================================== REP009: undo domination
 
-_SCOPE_GUARDS = {"_check_no_open_scope", "_assert_no_open_scope"}
+MUTATORS = {
+    "insert", "insert_many", "delete", "delete_matching",
+    "delete_by_rowid", "restore", "gi_insert", "gi_delete",
+}
+#: Receiver-text markers of modeled storage (vs. plain dicts/lists).
+STORAGE_MARKERS = ("fragment", "gi_partition", "node")
+UNDO_MARKERS = ("_record_undo", "record_undo", "_snapshot_queue_undo")
+_SCOPE_GUARD = "_check_no_open_scope"
+
+
+def _is_storage_mutation(node: ast.Call) -> Optional[str]:
+    """``receiver.mutator`` when ``node`` writes modeled storage (a
+    fragment, node, or GI partition), else ``None``."""
+    name = call_name(node)
+    if name not in MUTATORS or not isinstance(node.func, ast.Attribute):
+        return None
+    receiver = expr_text(node.func.value)
+    if any(marker in receiver for marker in STORAGE_MARKERS):
+        return f"{receiver}.{name}"
+    return None
+
+
+def _touches_undo(fn: ast.AST) -> bool:
+    """Whether ``fn`` records an undo action (``_record_undo``,
+    ``_snapshot_queue_undo``, or ``record`` on an ``*undo*`` receiver)."""
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        name = call_name(node)
+        if name in UNDO_MARKERS:
+            return True
+        if name == "record" and isinstance(node.func, ast.Attribute):
+            if "undo" in expr_text(node.func.value):
+                return True
+    return False
 
 
 def _calls_scope_guard(fn_node: ast.AST) -> bool:
     """Whether the function refuses to run inside an open undo scope — the
-    membership/bulk-path dominator (``_check_no_open_scope``)."""
+    membership/DDL dominator (``_check_no_open_scope``)."""
     for call in _own_calls(fn_node):
-        if call_name(call) in _SCOPE_GUARDS:
+        if call_name(call) == _SCOPE_GUARD:
             return True
     return False
 
 
 @register_flow(
     "REP009",
-    "storage mutations reachable from statement entry points must be "
-    "dominated by undo recording (or a scope guard) on every path",
+    "storage mutations reachable from statement or DDL entry points must "
+    "be dominated by undo recording (or a scope guard) on every path",
     annotation="no-undo",
 )
 def check_undo_domination(project: Project) -> Iterable[Finding]:

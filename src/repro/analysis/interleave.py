@@ -16,7 +16,7 @@ eager/deferred × worker count) three ways:
   *canonical cell stream*: the coordinator ledger's cells in insertion
   order.  Cell values are commutative sums, so a merge-order bug can
   leave every total intact while changing which fold created each cell
-  first; the stream is the only fingerprint component that sees it.
+  first; the stream is the only state component that sees it.
 * **permuted** (workers, :class:`SeededSchedule`) — hundreds of distinct
   interleavings, each derived deterministically from a seed.
 
@@ -98,11 +98,11 @@ class ReplaySchedule:
         return [items[i] for i in perm]
 
 
-# ------------------------------------------------------------ fingerprints
+# ---------------------------------------------------------- observed state
 
 
 @dataclass(frozen=True)
-class Fingerprint:
+class RunState:
     """Everything the equivalence promise covers, hashable-comparable.
 
     ``values`` must match the serial run; ``cell_stream`` (coordinator
@@ -120,7 +120,7 @@ class Fingerprint:
     def values(self) -> Tuple:
         return (self.cells, self.network, self.fragments, self.views)
 
-    def diff_label(self, other: "Fingerprint") -> Optional[str]:
+    def diff_label(self, other: "RunState") -> Optional[str]:
         """Which component diverges (values vs ``other``), or ``None``."""
         for label in ("cells", "network", "fragments", "views"):
             if getattr(self, label) != getattr(other, label):
@@ -133,7 +133,7 @@ def _cell_key(cell: Tuple) -> Tuple[int, str, str]:
     return (node, op.name, tag.name)
 
 
-def fingerprint(cluster) -> Fingerprint:
+def capture_state(cluster) -> RunState:
     """Capture a cluster's observable state for bit-identity comparison."""
     raw = cluster.ledger._cells
     cells = tuple(
@@ -163,7 +163,7 @@ def fingerprint(cluster) -> Fingerprint:
             for view_name, info in cluster.catalog.views.items()
         )
     )
-    return Fingerprint(cells, network, fragments, views, stream)
+    return RunState(cells, network, fragments, views, stream)
 
 
 # ---------------------------------------------------------------- workload
@@ -226,9 +226,9 @@ def run_config(
     steps: int = 14,
     num_nodes: int = 4,
     script_seed: int = 7,
-) -> Fingerprint:
+) -> RunState:
     """Build a cluster, drive one scripted workload under ``schedule``,
-    and return its fingerprint.  ``mode`` is ``"eager"`` or ``"deferred"``
+    and return its observed state.  ``mode`` is ``"eager"`` or ``"deferred"``
     (deferred wraps JV in a netting queue and refreshes mid-script)."""
     from ..core.deferred import defer_view
 
@@ -251,7 +251,7 @@ def run_config(
                 maintainer.refresh()
         if maintainer is not None:
             maintainer.refresh()
-        return fingerprint(cluster)
+        return capture_state(cluster)
     finally:
         cluster.close()
 
@@ -267,7 +267,7 @@ class Divergence:
     mode: str
     workers: int
     seed: int
-    component: str            # which fingerprint component diverged
+    component: str            # which state component diverged
     events: List[Event]       # full recorded schedule
     witness: List[Event]      # ddmin-minimal subset still diverging
 
@@ -336,7 +336,7 @@ def ddmin(
 
 
 def _divergence_component(
-    run: Fingerprint, serial: Fingerprint, golden: Fingerprint
+    run: RunState, serial: RunState, golden: RunState
 ) -> Optional[str]:
     label = run.diff_label(serial)
     if label is not None:

@@ -22,16 +22,9 @@ def render_text(result: AnalysisResult) -> str:
         )
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    for fingerprint in result.stale_baseline:
-        lines.append(
-            f"stale baseline entry {fingerprint}: no finding matches it any "
-            "more — remove it from the baseline file"
-        )
     lines.append(
         f"{len(result.findings)} finding(s) in {result.files_analyzed} "
-        f"file(s) ({result.suppressed} suppressed, "
-        f"{result.baselined} baselined, "
-        f"{len(result.stale_baseline)} stale baseline entr(ies))"
+        f"file(s) ({result.suppressed} suppressed)"
     )
     return "\n".join(lines) + "\n"
 
@@ -39,18 +32,15 @@ def render_text(result: AnalysisResult) -> str:
 def render_json(result: AnalysisResult) -> str:
     payload: Dict[str, object] = {
         "findings": [finding.to_dict() for finding in result.findings],
-        "stale_baseline": list(result.stale_baseline),
         "summary": {
             "findings": len(result.findings),
             "files_analyzed": result.files_analyzed,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
-            "stale_baseline": len(result.stale_baseline),
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def exit_code(result: AnalysisResult) -> int:
-    """Non-zero when anything needs action: findings or stale baseline."""
-    return 1 if (result.findings or result.stale_baseline) else 0
+    """Non-zero when any finding remains."""
+    return 1 if result.findings else 0

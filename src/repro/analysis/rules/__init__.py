@@ -44,9 +44,6 @@ def rule_ids() -> List[str]:
 
 
 # Built-in rules register themselves on import.
-from . import rep001_charged_send  # noqa: E402,F401
 from . import rep002_determinism  # noqa: E402,F401
 from . import rep003_obs_purity  # noqa: E402,F401
-from . import rep004_cost_constants  # noqa: E402,F401
 from . import rep005_envelopes  # noqa: E402,F401
-from . import rep006_undo  # noqa: E402,F401

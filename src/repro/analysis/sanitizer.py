@@ -12,7 +12,7 @@ hooks, both free when disabled (one attribute test each):
 * :class:`SendAccountingNetwork` replaces the cluster's ``Network`` and
   counts, per wrapper call, the SEND charges the cost model *says* the
   call must make.  After every statement :class:`StatementSanitizer`
-  compares that expectation against the ledger — REP001's
+  compares that expectation against the ledger — REP007's
   charged-vs-counted contract, verified dynamically.  With a fault
   injector attached, charge counts are fate-dependent (retries,
   duplicates), so parity checking disarms rather than guess.
@@ -22,8 +22,8 @@ hooks, both free when disabled (one attribute test each):
   ``NetworkStats`` is internally consistent (``messages`` equals the
   ``by_link`` sum); the shared ``DISABLED`` obs facade has not been
   written to (REP003); catalog ``row_count`` matches the fragment
-  contents (REP006's rollback contract, observed); and no undo scope is
-  open while the parallel engine is admissible (the gate REP005/REP006
+  contents (REP009's rollback contract, observed); and no undo scope is
+  open while the parallel engine is admissible (the gate REP005/REP009
   rely on).
 
 Envelope validation (REP005's runtime half) lives in
@@ -181,7 +181,7 @@ class StatementSanitizer:
                 f"SEND charge parity broken: ledger holds {charged} SEND "
                 f"charges but the Network wrapper accounted for {expected} "
                 "— some message was charged outside the wrapper (or not "
-                "at all); see REP001",
+                "at all); see REP007",
             )
 
     def _check_disabled_facade(self, where: str) -> None:
@@ -207,7 +207,7 @@ class StatementSanitizer:
                     where,
                     f"relation {name!r} catalog row_count={info.row_count} "
                     f"but fragments hold {stored} rows: a mutation bypassed "
-                    "the accounting (or an undo action was lost); see REP006",
+                    "the accounting (or an undo action was lost); see REP009",
                 )
 
     def _check_undo_gate(self, where: str) -> None:

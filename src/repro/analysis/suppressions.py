@@ -2,14 +2,14 @@
 
 Two comment forms, both introduced by ``# repro:``:
 
-* ``# repro: noqa=REP001`` (or a comma list) — silence the named rules on
+* ``# repro: noqa=REP007`` (or a comma list) — silence the named rules on
   that physical line only.  Blanket ``# repro: noqa`` without rule ids is
   deliberately **not** supported: suppressions must name what they hide.
 
 * ``# repro: <key>=<justification>`` — a *domain annotation*.  Each rule
   documents the annotation key it honours (``uncharged-mirror`` for
-  REP001, ``wall-clock`` for REP002, ``obs-guarded`` for REP003,
-  ``cost-literal`` for REP004, ``no-undo`` for REP006).  An annotation on
+  REP007, ``wall-clock`` for REP002 and REP008, ``obs-guarded`` for
+  REP003, ``no-undo`` for REP009).  An annotation on
   a ``def``/``class`` line covers the whole body — used where one
   justification explains many sites — and **must carry a non-empty
   justification** after the ``=``; an empty one is itself reported.
@@ -28,11 +28,10 @@ from typing import Dict, List, Set, Tuple
 
 #: Annotation keys with the rules that honour them (documented in DESIGN.md).
 KNOWN_ANNOTATIONS = {
-    "uncharged-mirror": "REP001",
+    "uncharged-mirror": "REP007",
     "wall-clock": "REP002",
     "obs-guarded": "REP003",
-    "cost-literal": "REP004",
-    "no-undo": "REP006",
+    "no-undo": "REP009",
 }
 
 _COMMENT = re.compile(r"#\s*repro:\s*(?P<body>.+)$")
@@ -94,7 +93,7 @@ def parse_suppressions(source: str) -> Suppressions:
             bad = [r for r in rules if not _RULE_ID.match(r)]
             if not rules or bad:
                 out.errors.append(
-                    (line, "noqa must list rule ids, e.g. '# repro: noqa=REP001'")
+                    (line, "noqa must list rule ids, e.g. '# repro: noqa=REP007'")
                 )
                 continue
             out.noqa.setdefault(line, set()).update(rules)

@@ -42,7 +42,12 @@ from .catalog import (
     RelationInfo,
     ViewInfo,
 )
-from .membership import ClusterMembership, MigrationReport, Replicator
+from .membership import (
+    ClusterMembership,
+    MigrationReport,
+    Replicator,
+    _check_no_open_scope,
+)
 from .network import Network
 from .node import Node
 from .partitioning import (
@@ -273,6 +278,7 @@ class Cluster:
         rows on the membership token ring, making later ``add_node`` /
         ``remove_node`` calls relocate only the minimal key share.
         """
+        _check_no_open_scope(self, "create_relation")
         self._drain_parallel()  # DDL reshapes shards: rebuild workers after
         if spec is None:
             spec = HashPartitioning(partitioned_on)
@@ -292,6 +298,7 @@ class Cluster:
 
     def create_index(self, relation: str, column: str, clustered: bool = False) -> None:
         """Build a local index on ``relation.column`` at every node."""
+        _check_no_open_scope(self, "create_index")
         self._drain_parallel()
         info = self.catalog.relation(relation)
         if column not in info.schema:
@@ -324,6 +331,7 @@ class Cluster:
         base rows are copied in without cost charging (one-time build, like
         the paper's offline creation of orders_1/lineitem_1).
         """
+        _check_no_open_scope(self, "create_auxiliary_relation")
         self._drain_parallel()
         base_info = self.catalog.relation(base)
         if on_column not in base_info.schema:
@@ -367,7 +375,7 @@ class Cluster:
                     if image is None:
                         continue
                     dest = partitioner.node_of_row(image)
-                    self.nodes[dest].fragment(ar_name).insert(image)  # repro: no-undo=DDL backfill; create_auxiliary_relation is not a transactional statement
+                    self.nodes[dest].fragment(ar_name).insert(image)
         self._sync_replicas()
         return info
 
@@ -384,6 +392,7 @@ class Cluster:
         ``base`` is physically clustered on ``on_column``; it is validated
         against the declared local indexes.
         """
+        _check_no_open_scope(self, "create_global_index")
         self._drain_parallel()
         base_info = self.catalog.relation(base)
         if on_column not in base_info.schema:
@@ -417,7 +426,7 @@ class Cluster:
                 for rowid, row in node.fragment(base).table.scan():
                     key = row[info.key_position]
                     dest = info.home_node(key)
-                    self.nodes[dest].gi_partition(gi_name).insert(  # repro: no-undo=DDL backfill; create_global_index is not a transactional statement
+                    self.nodes[dest].gi_partition(gi_name).insert(
                         key, GlobalRowId(node.node_id, rowid)
                     )
         return info
@@ -462,6 +471,7 @@ class Cluster:
         """
         from ..core import define_join_view
 
+        _check_no_open_scope(self, "create_join_view")
         info = define_join_view(self, definition, method=method, **kwargs)
         self._sync_replicas()
         return info
@@ -477,6 +487,7 @@ class Cluster:
         """
         from ..sql import parse_join_view
 
+        _check_no_open_scope(self, "create_view_from_sql")
         schemas = {name: info.schema for name, info in self.catalog.relations.items()}
         definition = parse_join_view(sql, schemas)
         return self.create_join_view(definition, method=method, **kwargs)
@@ -488,6 +499,7 @@ class Cluster:
         serves-views links of the structures it used.  The structures
         themselves stay (other views may share them); drop them separately
         when unreferenced."""
+        _check_no_open_scope(self, "drop_view")
         self._drain_parallel()
         self.catalog.remove_view(name)
         for node in self.nodes:
@@ -500,6 +512,7 @@ class Cluster:
         it unless ``force`` is given (after which those views would fall
         back to planning errors on their next delta — the caller owns it).
         """
+        _check_no_open_scope(self, "drop_auxiliary_relation")
         self._drain_parallel()
         self.catalog.remove_auxiliary(name, force=force)
         for node in self.nodes:
@@ -509,6 +522,7 @@ class Cluster:
 
     def drop_global_index(self, name: str, force: bool = False) -> None:
         """Drop a global index (same safety rule as auxiliary relations)."""
+        _check_no_open_scope(self, "drop_global_index")
         self._drain_parallel()
         self.catalog.remove_global_index(name, force=force)
         for node in self.nodes:

@@ -31,6 +31,7 @@ from ..costs import Tag
 from ..obs.collect import collect_cluster_metrics
 from ..obs.metrics import MetricsRegistry
 from .membership import (
+    _check_no_open_scope,
     _execute_moves,
     _partitioned_objects,
     _plan_moves,
@@ -185,8 +186,7 @@ class Rebalancer:
         relocated row through the charged migration path."""
         cluster = self.cluster
         _require_elastic_views(cluster, "rebalance")
-        if cluster._undo_logs:
-            raise RuntimeError("rebalance cannot run inside an open transaction scope")
+        _check_no_open_scope(cluster, "rebalance")
         membership = cluster.membership
         default = self._consistent_vnodes()
         if default is None:

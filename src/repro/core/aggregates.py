@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.catalog import ViewInfo
+from ..cluster.membership import _check_no_open_scope
 from ..cluster.partitioning import HashPartitioning
 from ..costs import Op, Tag
 from ..storage.schema import Column, Row, Schema
@@ -314,6 +315,7 @@ def define_aggregate_join_view(
     the spec; ``definition.partitioning`` is ignored too (aggregate views
     hash-partition on the group key so each group has one home node).
     """
+    _check_no_open_scope(cluster, "define_aggregate_join_view")
     cluster.catalog.ensure_name_free(definition.name)
     method = MaintenanceMethod.coerce(method)
     if isinstance(strategy, str):
@@ -387,7 +389,7 @@ def define_aggregate_join_view(
             entry[1 + offset] += multiplicity * float(row[position])
     for group, entry in boot.items():
         home = partitioner.node_of_key(group)
-        cluster.nodes[home].fragment(definition.name).insert(  # repro: no-undo=DDL backfill; view creation is not a transactional statement
+        cluster.nodes[home].fragment(definition.name).insert(
             group + (int(entry[0]),) + tuple(entry[1:])
         )
         view_info.row_count += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..cluster.catalog import ViewInfo
+from ..cluster.membership import _check_no_open_scope
 from .auxiliary import provision_auxiliary
 from .global_index import provision_global_index
 from .maintenance import JoinStrategy, JoinViewMaintainer, MaintenanceMethod
@@ -60,6 +61,7 @@ def define_join_view(
         :func:`repro.core.hybrid.provision_hybrid` (``ar_row_budget``,
         per-relation ``choices``).
     """
+    _check_no_open_scope(cluster, "define_join_view")
     cluster.catalog.ensure_name_free(definition.name)
     method = MaintenanceMethod.coerce(method)
     if isinstance(strategy, str):
@@ -99,7 +101,7 @@ def define_join_view(
     return view_info
 
 
-def _materialize(cluster: "Cluster", view_info: ViewInfo, bound: BoundView) -> None:  # repro: no-undo=DDL backfill; view creation is not a transactional statement
+def _materialize(cluster: "Cluster", view_info: ViewInfo, bound: BoundView) -> None:
     """Load the view's current contents without charging the ledger."""
     contents = {
         name: cluster.scan_relation(name) for name in bound.definition.relations

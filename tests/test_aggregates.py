@@ -195,13 +195,14 @@ def test_property_random_stream_stays_consistent():
     check(cluster, "AGG")
 
 
-# ---------------------------------------------------- rollback (REP006 bug)
+# ---------------------------------------------------- rollback (REP009 bug)
 
 
 def test_rollback_restores_aggregate_view():
     """Regression: aggregate folding used to mutate view fragments without
     recording undo actions, so a transaction rollback restored the base
-    relations but left the folded counts/sums corrupted (found by REP006)."""
+    relations but left the folded counts/sums corrupted (the invariant
+    REP009 checks)."""
     cluster = fresh()
     cluster.insert("A", [(0, 0, "seed"), (1, 1, "seed")])
     before = agg_counter(aggregate_rows(cluster, "AGG"))

@@ -1,156 +1,12 @@
-"""CLI, reporter, and baseline tests for ``python -m repro.analysis``."""
+"""CLI and reporter tests for ``python -m repro.analysis``."""
 
 import json
 import textwrap
 
-from repro.analysis import Finding, load_baseline
+from repro.analysis import Finding
 from repro.analysis.__main__ import main
 
-VIOLATION = textwrap.dedent(
-    """
-    def go(pipe, payload):
-        pipe.send(payload)
-    """
-)
-
-
-def seed(tmp_path, source=VIOLATION):
-    path = tmp_path / "cluster" / "engine.py"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(source)
-    return path
-
-
-# ----------------------------------------------------------------- reports
-
-
-def test_json_report_round_trips(tmp_path, capsys):
-    seed(tmp_path)
-    code = main(["--format=json", str(tmp_path)])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["findings"] == 1
-    assert payload["summary"]["files_analyzed"] == 1
-    (entry,) = payload["findings"]
-    finding = Finding.from_dict(entry)
-    assert finding.rule == "REP001"
-    assert finding.path == "cluster/engine.py"
-    assert finding.line == 3
-    assert finding.snippet == "pipe.send(payload)"
-    assert finding.fingerprint
-    assert finding.to_dict() == entry
-
-
-def test_text_report_and_exit_codes(tmp_path, capsys):
-    seed(tmp_path)
-    assert main([str(tmp_path)]) == 1
-    out = capsys.readouterr().out
-    assert "cluster/engine.py:3:" in out
-    assert "REP001" in out
-
-    clean = tmp_path / "cluster" / "engine.py"
-    clean.write_text("def go():\n    return 1\n")
-    assert main([str(tmp_path)]) == 0
-    assert "0 finding(s)" in capsys.readouterr().out
-
-
-def test_rules_filter_and_unknown_rule(tmp_path, capsys):
-    seed(tmp_path)
-    assert main(["--rules=REP002", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert main(["--rules=REP999", str(tmp_path)]) == 2
-    assert "unknown rule ids" in capsys.readouterr().err
-
-
-def test_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
-        assert rule_id in out
-    assert "uncharged-mirror" in out
-
-
-# ---------------------------------------------------------------- baseline
-
-
-def test_baseline_add_then_expire(tmp_path, capsys):
-    seed(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-
-    # Grandfather the current finding.
-    assert main([
-        "--write-baseline", "--baseline", str(baseline_path), str(tmp_path)
-    ]) == 0
-    baseline = load_baseline(str(baseline_path))
-    assert len(baseline.fingerprints) == 1
-    capsys.readouterr()
-
-    # The baselined finding no longer fails the run.
-    assert main(["--baseline", str(baseline_path), str(tmp_path)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-    # Fixing the violation makes the baseline entry stale -> exit 1.
-    (tmp_path / "cluster" / "engine.py").write_text(
-        "def go(self, src, dst, tag):\n    self.network.send(src, dst, tag)\n"
-    )
-    assert main(["--baseline", str(baseline_path), str(tmp_path)]) == 1
-    assert "stale baseline entry" in capsys.readouterr().out
-
-
-def test_baseline_fingerprint_survives_unrelated_edits(tmp_path, capsys):
-    seed(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    assert main([
-        "--write-baseline", "--baseline", str(baseline_path), str(tmp_path)
-    ]) == 0
-    capsys.readouterr()
-
-    # Prepend code above the violation: the line number moves, the
-    # fingerprint (and hence the baseline match) must not.
-    original = (tmp_path / "cluster" / "engine.py").read_text()
-    (tmp_path / "cluster" / "engine.py").write_text(
-        "import os\n\n\ndef unrelated():\n    return os.sep\n\n" + original
-    )
-    assert main(["--baseline", str(baseline_path), str(tmp_path)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-
-def test_baseline_missing_file_is_usage_error(tmp_path, capsys):
-    seed(tmp_path)
-    assert main(["--baseline", str(tmp_path / "nope.json"), str(tmp_path)]) == 2
-    assert "not found" in capsys.readouterr().err
-
-
-def test_identical_lines_get_distinct_fingerprints(tmp_path, capsys):
-    seed(
-        tmp_path,
-        "def go(pipe, a, b):\n    pipe.send(a)\n    pipe.send(a)\n",
-    )
-    assert main(["--format=json", str(tmp_path)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    fingerprints = [entry["fingerprint"] for entry in payload["findings"]]
-    assert len(fingerprints) == 2
-    assert len(set(fingerprints)) == 2
-
-
-# ------------------------------------------------------- repo-level config
-
-
-def test_shipped_baseline_is_empty():
-    """The repo's own baseline grandfathers nothing: every violation was
-    fixed or annotated instead."""
-    import os
-
-    import repro
-
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
-    baseline = load_baseline(os.path.join(repo_root, "analysis-baseline.json"))
-    assert baseline.fingerprints == set()
-
-
-# ------------------------------------------------------------- flow layer
-
-
+#: An uncharged raw send reachable from ``Cluster.insert`` (one REP007).
 FLOW_TREE = {
     "cluster/cluster.py": textwrap.dedent(
         """
@@ -170,43 +26,79 @@ FLOW_TREE = {
 }
 
 
-def seed_tree(tmp_path, files):
+def seed_tree(tmp_path, files=FLOW_TREE):
     for relative, source in files.items():
         path = tmp_path / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
 
 
-def test_flow_flag_adds_interprocedural_findings(tmp_path, capsys):
-    seed_tree(tmp_path, FLOW_TREE)
-    assert main(["--format=json", str(tmp_path)]) == 1
-    without = json.loads(capsys.readouterr().out)
-    assert [f["rule"] for f in without["findings"]] == ["REP001"]
-
-    assert main(["--flow", "--format=json", str(tmp_path)]) == 1
-    with_flow = json.loads(capsys.readouterr().out)
-    rules = [f["rule"] for f in with_flow["findings"]]
-    assert "REP001" in rules and "REP007" in rules
-    witness = next(f for f in with_flow["findings"] if f["rule"] == "REP007")
-    assert "Cluster.insert" in witness["message"]
+# ----------------------------------------------------------------- reports
 
 
-def test_flow_rules_filter_and_unknown_rule(tmp_path, capsys):
-    seed_tree(tmp_path, FLOW_TREE)
-    assert main(["--flow", "--rules=REP007", "--format=json", str(tmp_path)]) == 1
+def test_json_report_round_trips(tmp_path, capsys):
+    seed_tree(tmp_path)
+    code = main(["--format=json", str(tmp_path)])
+    assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert [f["rule"] for f in payload["findings"]] == ["REP007"]
-    # Flow ids are rejected without --flow (they are not per-file rules).
-    assert main(["--rules=REP007", str(tmp_path)]) == 2
+    assert payload["summary"]["findings"] == 1
+    assert payload["summary"]["files_analyzed"] == 2
+    (entry,) = payload["findings"]
+    finding = Finding.from_dict(entry)
+    assert finding.rule == "REP007"
+    assert finding.path == "cluster/ship.py"
+    assert finding.line == 3
+    assert finding.snippet == "pipe.send(rows)"
+    assert finding.to_dict() == entry
+
+
+def test_text_report_and_exit_codes(tmp_path, capsys):
+    seed_tree(tmp_path)
+    assert main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "cluster/ship.py:3:" in out
+    assert "REP007" in out
+
+    clean = tmp_path / "cluster" / "ship.py"
+    clean.write_text("def ship_delta(pipe, rows):\n    return rows\n")
+    assert main([str(tmp_path)]) == 0
+    assert "0 finding(s)" in capsys.readouterr().out
+
+
+def test_rules_filter_and_unknown_rule(tmp_path, capsys):
+    seed_tree(tmp_path)
+    assert main(["--rules=REP002", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["--rules=REP999", str(tmp_path)]) == 2
     assert "unknown rule ids" in capsys.readouterr().err
 
 
-def test_dot_export_requires_and_uses_flow(tmp_path, capsys):
-    seed_tree(tmp_path, FLOW_TREE)
+def test_list_rules(capsys):
+    assert main(["--list-rules"]) == 0
+    out = capsys.readouterr().out
+    listed = [line.split()[0] for line in out.splitlines()]
+    assert listed == ["REP002", "REP003", "REP005", "REP007", "REP008", "REP009"]
+    assert "uncharged-mirror" in out
+
+
+# ------------------------------------------------------------- flow layer
+
+
+def test_flow_rules_filter_and_unknown_rule(tmp_path, capsys):
+    seed_tree(tmp_path)
+    # Per-file and flow ids mix freely in one --rules list.
+    assert main(["--rules=REP002,REP007", "--format=json", str(tmp_path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [f["rule"] for f in payload["findings"]] == ["REP007"]
+    assert "Cluster.insert" in payload["findings"][0]["message"]
+    assert main(["--rules=REP007,REP010", str(tmp_path)]) == 2
+    assert "unknown rule ids" in capsys.readouterr().err
+
+
+def test_dot_export_works_alone(tmp_path, capsys):
+    seed_tree(tmp_path)
     dot_path = tmp_path / "graph.dot"
-    assert main(["--dot", str(dot_path), str(tmp_path)]) == 2
-    assert "requires --flow" in capsys.readouterr().err
-    assert main(["--flow", "--dot", str(dot_path), str(tmp_path)]) == 1
+    assert main(["--dot", str(dot_path), str(tmp_path)]) == 1
     dot = dot_path.read_text()
     assert dot.startswith("digraph repro_callgraph {")
     assert '"cluster.ship.ship_delta"' in dot
@@ -225,10 +117,11 @@ def test_list_rules_includes_flow_layer(capsys):
 
 def test_audit_reports_stale_and_live_suppressions(tmp_path, capsys):
     seed_tree(tmp_path, {
-        "cluster/engine.py": (
-            "def go(pipe, payload):\n"
-            "    pipe.send(payload)  # repro: noqa=REP001\n"
-            "    value = 1  # repro: noqa=REP004\n"
+        "cluster/cluster.py": FLOW_TREE["cluster/cluster.py"],
+        "cluster/ship.py": (
+            "def ship_delta(pipe, rows):\n"
+            "    pipe.send(rows)  # repro: noqa=REP007\n"
+            "    value = 1  # repro: noqa=REP002\n"
             "    return value\n"
         ),
     })
@@ -238,9 +131,9 @@ def test_audit_reports_stale_and_live_suppressions(tmp_path, capsys):
     assert payload["total"] == 2
     assert payload["stale"] == 1
     by_rule = {entry["rule"]: entry for entry in payload["suppressions"]}
-    assert by_rule["REP001"]["used"] is True
-    assert by_rule["REP004"]["used"] is False
-    assert by_rule["REP004"]["kind"] == "noqa"
+    assert by_rule["REP007"]["used"] is True
+    assert by_rule["REP002"]["used"] is False
+    assert by_rule["REP002"]["kind"] == "noqa"
     assert "stale suppression" in captured.err
 
 
@@ -249,13 +142,13 @@ def test_audit_clean_tree_exits_zero(tmp_path, capsys):
         "cluster/cluster.py": FLOW_TREE["cluster/cluster.py"],
         "cluster/ship.py": (
             "def ship_delta(pipe, rows):\n"
-            "    pipe.send(rows)  # repro: noqa=REP001,REP007\n"
+            "    pipe.send(rows)  # repro: noqa=REP007\n"
         ),
     })
     assert main(["--audit-suppressions", str(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["stale"] == 0
-    assert payload["total"] == 2
+    assert payload["total"] == 1
 
 
 def test_audit_counts_flow_annotation_use(tmp_path, capsys):
@@ -264,10 +157,7 @@ def test_audit_counts_flow_annotation_use(tmp_path, capsys):
             "def insert(self, rows):",
             "def insert(self, rows):  # repro: uncharged-mirror=IPC only",
         ),
-        "cluster/ship.py": (
-            "def ship_delta(pipe, rows):\n"
-            "    pipe.send(rows)  # repro: noqa=REP001\n"
-        ),
+        "cluster/ship.py": FLOW_TREE["cluster/ship.py"],
     })
     assert main(["--audit-suppressions", str(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -2,9 +2,10 @@
 
 Each rule gets a seeded multi-hop violation whose witness names the full
 entry→…→sink call path, a clean counterpart, and its justification forms
-(domain annotation on the path, or the structural escape the rule
-honours).  Trees are synthetic but laid out like the real package so the
-entry-point table matches (``Cluster.insert`` etc.).
+(domain annotation on the path, ``noqa``, or the structural escape the
+rule honours).  Trees are synthetic but laid out like the real package so
+the entry-point table matches (``Cluster.insert``,
+``Cluster.create_join_view`` etc.).
 """
 
 import textwrap
@@ -17,7 +18,7 @@ def run_flow(tmp_path, files, only=None):
         path = tmp_path / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return analyze_paths([str(tmp_path)], only_rules=only, flow=True)
+    return analyze_paths([str(tmp_path)], only_rules=only)
 
 
 def rules_of(result):
@@ -248,6 +249,97 @@ def test_rep009_scope_guard_and_annotation_are_clean(tmp_path):
     assert result.findings == []
 
 
+def test_rep009_bulk_write_owes_a_batch_inverse(tmp_path):
+    """The bulk paths run inside undo scopes: an ``insert_many`` reached
+    from a statement with no inverse is flagged; the same batch with one
+    inverse for all of its rowids, recorded by the function that wrote
+    it, is clean."""
+    result = run_flow(tmp_path, {
+        "cluster/cluster.py": """
+            class Cluster:
+                def insert(self, relation, rows):
+                    self.bulk_unlogged(0, relation, rows, None)
+                    self.bulk_logged(0, relation, rows, None)
+
+                def bulk_unlogged(self, home, name, rows, tag):
+                    return self.nodes[home].insert_many(name, rows, tag)
+
+                def bulk_logged(self, home, name, rows, tag):
+                    node = self.nodes[home]
+                    rowids = node.insert_many(name, rows, tag)
+                    if self._undo_logs:
+                        self._undo_logs[-1].record(
+                            node.fragment(name).delete_many,
+                            node=home, tag=tag, writes=len(rowids), args=(rowids,),
+                        )
+                    return rowids
+        """,
+    }, only=["REP009"])
+    assert rules_of(result) == ["REP009"]
+    assert "bulk_unlogged" in result.findings[0].message
+
+
+def test_rep009_def_level_annotation_and_noqa(tmp_path):
+    result = run_flow(tmp_path, {
+        "cluster/cluster.py": """
+            from .apply import backfill, patch
+
+            class Cluster:
+                def insert(self, relation, rows):
+                    backfill(self.nodes[0].fragment(relation), rows)
+                    patch(self.nodes[0].fragment(relation), rows[0])
+        """,
+        "cluster/apply.py": """
+            def backfill(fragment, rows):  # repro: no-undo=offline DDL build
+                for row in rows:
+                    fragment.insert(row)
+
+            def patch(fragment, row):
+                fragment.insert(row)  # repro: noqa=REP009
+        """,
+    }, only=["REP009"])
+    assert result.findings == []
+    assert result.suppressed == 1
+
+
+DDL_TREE = {
+    "cluster/cluster.py": """
+        from .views import _check_no_open_scope, backfill
+
+        class Cluster:
+            def create_join_view(self, rows):
+                _check_no_open_scope(self, "create_join_view")
+                backfill(self.nodes, rows)
+    """,
+    "cluster/views.py": """
+        def backfill(nodes, rows):
+            for row in rows:
+                nodes[0].fragment("JV").insert(row)
+
+        def _check_no_open_scope(cluster, operation):
+            pass
+    """,
+}
+
+
+def test_rep009_ddl_backfill_is_dominated_by_the_scope_guard(tmp_path):
+    """DDL statements are entry points too: a backfill reached from
+    ``Cluster.create_join_view`` is flagged unless the DDL refuses to run
+    inside an open transaction scope."""
+    unguarded = dict(DDL_TREE)
+    unguarded["cluster/cluster.py"] = DDL_TREE["cluster/cluster.py"].replace(
+        '_check_no_open_scope(self, "create_join_view")', "pass"
+    )
+    result = run_flow(tmp_path / "unguarded", unguarded, only=["REP009"])
+    assert rules_of(result) == ["REP009"]
+    message = result.findings[0].message
+    assert "Cluster.create_join_view" in message
+    assert "backfill (cluster/views.py:" in message
+
+    result = run_flow(tmp_path / "guarded", DDL_TREE, only=["REP009"])
+    assert result.findings == []
+
+
 # -------------------------------------------------------------- integration
 
 
@@ -262,32 +354,8 @@ def test_flow_findings_honour_noqa_and_count_as_suppressed(tmp_path):
         """,
         "cluster/ship.py": """
             def ship_delta(pipe, rows):
-                pipe.send(rows)  # repro: noqa=REP007,REP001
+                pipe.send(rows)  # repro: noqa=REP007
         """,
     }, only=["REP007"])
     assert result.findings == []
     assert result.suppressed == 1
-
-
-def test_flow_rules_only_run_with_flow_enabled(tmp_path):
-    files = {
-        "cluster/cluster.py": """
-            from .ship import ship_delta
-
-            class Cluster:
-                def insert(self, rows):
-                    ship_delta(self.pipe, rows)
-        """,
-        "cluster/ship.py": """
-            def ship_delta(pipe, rows):
-                pipe.send(rows)
-        """,
-    }
-    for relative, source in files.items():
-        path = tmp_path / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source))
-    without = analyze_paths([str(tmp_path)], only_rules=["REP001"])
-    assert rules_of(without) == ["REP001"]
-    with_flow = analyze_paths([str(tmp_path)], flow=True)
-    assert "REP007" in rules_of(with_flow)

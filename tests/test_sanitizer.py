@@ -167,7 +167,7 @@ def _sanitized():
 def test_parity_check_catches_uncharged_send():
     cluster = _sanitized()
     # A message that reaches the stats counters without a ledger charge:
-    # exactly the drift REP001 bans at source level.
+    # exactly the drift REP007 bans at source level.
     cluster.network.expected_send_charges += 1
     with pytest.raises(SanitizeError, match="SEND charge parity"):
         cluster._sanitizer.check("seeded")

@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro import ConsistencyAuditor, Schema, two_way_view
+from repro.core import (
+    Aggregate,
+    AggregateFunction,
+    AggregateSpec,
+    define_aggregate_join_view,
+)
 from tests.conftest import make_view
 
 
@@ -57,3 +64,64 @@ def test_empty_transaction(ab_cluster):
         pass
     assert txn.report.statements == 0
     assert txn.report.total_workload == 0.0
+
+
+# ------------------------------------------------ DDL inside a transaction
+
+
+def test_create_join_view_inside_transaction_is_refused(ab_cluster):
+    """DDL is not transactional: a view built inside an open scope would
+    survive the rollback of the rows it was built from."""
+    with pytest.raises(RuntimeError, match="create_join_view cannot run"):
+        with ab_cluster.transaction() as txn:
+            txn.insert("A", [(i, i % 5, f"e{i}") for i in range(4)])
+            make_view(ab_cluster, "auxiliary")
+    assert "JV" not in ab_cluster.catalog.views
+    assert ab_cluster.scan_relation("A") == []
+    assert ConsistencyAuditor(ab_cluster).audit().ok
+
+
+def test_drop_view_inside_transaction_is_refused(ab_cluster):
+    make_view(ab_cluster, "auxiliary")
+    with pytest.raises(RuntimeError, match="drop_view cannot run"):
+        with ab_cluster.transaction() as txn:
+            txn.insert("A", [(i, i % 5, f"e{i}") for i in range(4)])
+            ab_cluster.drop_view("JV")
+    assert "JV" in ab_cluster.catalog.views
+    assert ab_cluster.scan_relation("A") == []
+    assert ab_cluster.view_rows("JV") == []
+    assert ConsistencyAuditor(ab_cluster).audit().ok
+
+
+_SPEC = AggregateSpec(
+    group_by=(("B", "d"),),
+    aggregates=(Aggregate(AggregateFunction.COUNT, "n"),),
+)
+
+_DDL = {
+    "create_relation": lambda c: c.create_relation(
+        Schema.of("C", "g", "h"), partitioned_on="g"
+    ),
+    "create_index": lambda c: c.create_index("A", "e"),
+    "create_auxiliary_relation": lambda c: c.create_auxiliary_relation("A", "c"),
+    "create_global_index": lambda c: c.create_global_index("A", "c"),
+    "create_view_from_sql": lambda c: c.create_view_from_sql(
+        "create view JV as select * from A, B where A.c = B.d;"
+    ),
+    "drop_auxiliary_relation": lambda c: c.drop_auxiliary_relation("AR_B_d"),
+    "drop_global_index": lambda c: c.drop_global_index("GI_B_d"),
+    "define_aggregate_join_view": lambda c: define_aggregate_join_view(
+        c, two_way_view("AGG", "A", "c", "B", "d"), _SPEC
+    ),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(_DDL))
+def test_every_ddl_entry_point_refuses_an_open_scope(ab_cluster, operation):
+    ab_cluster.create_auxiliary_relation("B", "d")
+    ab_cluster.create_global_index("B", "d")
+    with ab_cluster.transaction():
+        with pytest.raises(RuntimeError, match=f"{operation} cannot run"):
+            _DDL[operation](ab_cluster)
+    # Outside the scope the same statement runs.
+    _DDL[operation](ab_cluster)
