@@ -13,7 +13,6 @@ from .sqlite_maintenance import (
     StepTiming,
     TeradataStyleExperiment,
 )
-from .loader import batched, load_batched, verify_partitioning
 
 __all__ = [
     "SQLiteCluster",
@@ -24,7 +23,4 @@ __all__ = [
     "StepTiming",
     "JV1_SELECT",
     "JV2_SELECT",
-    "batched",
-    "load_batched",
-    "verify_partitioning",
 ]

@@ -75,12 +75,6 @@ class SQLiteNode:
     def query(self, sql: str, params: Sequence = ()) -> List[Tuple]:
         return self.connection.execute(sql, params).fetchall()
 
-    def timed_query(self, sql: str, params: Sequence = ()) -> Tuple[List[Tuple], float]:
-        """Run a query and return (rows, elapsed seconds)."""
-        start = time.perf_counter()
-        rows = self.connection.execute(sql, params).fetchall()
-        return rows, time.perf_counter() - start
-
     def close(self) -> None:
         self.connection.close()
 

@@ -24,7 +24,6 @@ from .membership import (
     Replicator,
     available_rows,
 )
-from .rebalance import RebalanceProposal, RebalanceReport, Rebalancer
 from .transactions import Transaction, TransactionReport
 
 __all__ = [
@@ -47,9 +46,6 @@ __all__ = [
     "MigrationReport",
     "Replicator",
     "available_rows",
-    "Rebalancer",
-    "RebalanceProposal",
-    "RebalanceReport",
     "Transaction",
     "TransactionReport",
 ]

@@ -433,15 +433,10 @@ class Cluster:
 
     def _bind_spec(self, spec: PartitioningSpec, schema: Schema):
         """Bind a partitioning spec against the current topology; consistent
-        hashing binds to the membership's stable tokens (and any rebalancer
-        weight overrides), everything else to the dense node count."""
+        hashing binds to the membership's stable tokens, everything else to
+        the dense node count."""
         if isinstance(spec, ConsistentHashPartitioning):
-            return spec.bind(
-                schema,
-                self.num_nodes,
-                tokens=self.membership.tokens,
-                weights=dict(self.membership.weights),
-            )
+            return spec.bind(schema, self.num_nodes, tokens=self.membership.tokens)
         return spec.bind(schema, self.num_nodes)
 
     def create_view_storage(

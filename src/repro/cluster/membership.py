@@ -69,7 +69,7 @@ class MembershipEvent:
     """One recorded topology change."""
 
     epoch: int
-    kind: str        # "join" | "leave" | "failover" | "rebalance"
+    kind: str        # "join" | "leave" | "failover"
     node: int        # node id in the *pre-change* id space
     token: int       # the stable token added or retired
     detail: str = ""
@@ -88,8 +88,6 @@ class ClusterMembership:
         self.tokens: List[int] = list(range(num_nodes))
         self._next_token = num_nodes
         self.replication = replication
-        #: Per-token vnode-count overrides, maintained by the rebalancer.
-        self.weights: Dict[int, int] = {}
         self.events: List[MembershipEvent] = []
 
     def issue_token(self) -> int:
@@ -427,9 +425,7 @@ def _remap_deferred(cluster: "Cluster", id_map: Dict[int, int], fallback: int) -
             maintainer.remap_nodes(id_map, fallback)
 
 
-def _rebind(
-    cluster: "Cluster", info: object, num_nodes: int, tokens: Sequence[int]
-) -> object:
+def _rebind(info: object, num_nodes: int, tokens: Sequence[int]) -> object:
     """A partitioner for the post-change topology (new id space).
 
     Not installed by the caller until moves are planned: placements are
@@ -437,11 +433,7 @@ def _rebind(
     """
     partitioner = info.partitioner  # type: ignore[attr-defined]
     if isinstance(partitioner, BoundConsistentHash):
-        return partitioner.rebind(
-            num_nodes,
-            tokens=tokens,
-            weights=dict(cluster.membership.weights),
-        )
+        return partitioner.rebind(num_nodes, tokens=tokens)
     return cast(object, partitioner.rebind(num_nodes))
 
 
@@ -688,7 +680,7 @@ def add_node(cluster: "Cluster") -> MigrationReport:
                 kind="join", epoch=membership.epoch + 1, node=new_id, token=token
             )
             for name, info in _partitioned_objects(cluster):
-                bound = _rebind(cluster, info, cluster.num_nodes, membership.tokens)
+                bound = _rebind(info, cluster.num_nodes, membership.tokens)
                 moves = _plan_moves(cluster, name, bound, identity, survivors, None)
                 info.partitioner = bound  # type: ignore[attr-defined]
                 count = _execute_moves(cluster, name, moves, Tag.MIGRATE)
@@ -745,7 +737,7 @@ def remove_node(cluster: "Cluster", node_id: int) -> MigrationReport:
                 kind="leave", epoch=membership.epoch + 1, node=node_id, token=token
             )
             for name, info in _partitioned_objects(cluster):
-                bound = _rebind(cluster, info, new_count, new_tokens)
+                bound = _rebind(info, new_count, new_tokens)
                 moves = _plan_moves(
                     cluster, name, bound, old_of_new, survivors, None
                 )
@@ -753,7 +745,6 @@ def remove_node(cluster: "Cluster", node_id: int) -> MigrationReport:
                 count = _execute_moves(cluster, name, moves, Tag.MIGRATE)
                 if count:
                     report.moved[name] = count
-            membership.weights.pop(token, None)
             id_map = _renumber(cluster, node_id)
             report.gi_entries_deleted, report.gi_entries_inserted = (
                 _remap_global_indexes(cluster, id_map, Tag.MIGRATE)
@@ -817,7 +808,7 @@ def fail_over(cluster: "Cluster", node_id: int) -> MigrationReport:
                 node=node_id, token=token,
             )
             for name, info in _partitioned_objects(cluster):
-                bound = _rebind(cluster, info, new_count, new_tokens)
+                bound = _rebind(info, new_count, new_tokens)
                 moves = _plan_moves(
                     cluster, name, bound, old_of_new, survivors, node_id
                 )
@@ -835,7 +826,6 @@ def fail_over(cluster: "Cluster", node_id: int) -> MigrationReport:
                 )
                 if count:
                     report.restored[name] = count
-            membership.weights.pop(token, None)
             id_map = _renumber(cluster, node_id)
             report.promoted = id_map[successor]
             # The promoted successor announces the new membership.

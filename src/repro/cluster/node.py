@@ -199,9 +199,6 @@ class Node:
             bag = self._replicas[slot] = Counter()
         return bag
 
-    def has_replica(self, owner: int, name: str) -> bool:
-        return (owner, name) in self._replicas
-
     def drop_replica(self, owner: int, name: str) -> None:
         self._replicas.pop((owner, name), None)
 

@@ -55,7 +55,7 @@ invalidation, since the inline "shard" *is* the always-current image.
 
 DDL, transactions, fault attachment, replication, and aggregate-view
 maintenance all drain the pool and run on the serial reference path; the
-membership/rebalance planners keep speaking the full stringly-typed op
+membership planners keep speaking the full stringly-typed op
 vocabulary (:data:`COMMAND_KINDS`) through :func:`run_ops_serial`, which
 always executes with the pool drained.
 """
@@ -94,7 +94,7 @@ COMMAND_KINDS = frozenset(
 )
 
 #: Kinds that never mutate shards; mutations in the vocabulary exist for the
-#: membership/rebalance planners, which execute them through
+#: membership planners, which execute them through
 #: :func:`run_ops_serial` with the pool drained.
 READ_ONLY_KINDS = frozenset({"probe", "gi_probe", "fetch", "merge", "charge"})
 
@@ -153,7 +153,7 @@ def shard_ranges(num_nodes: int, workers: int) -> List[Tuple[int, int]]:
 
     The read-server pool no longer binds workers to node shards (any worker
     serves any node), but the range partition remains the deterministic
-    node↔worker attribution used by the rebalancer's busy-time tiebreak.
+    node↔worker attribution.
     """
     workers = max(1, min(workers, num_nodes))
     base, extra = divmod(num_nodes, workers)
@@ -454,7 +454,7 @@ def _execute_op(nodes, cache: Optional[HeavyHitterProbeCache], op, events=None):
 def run_ops_serial(cluster: "Cluster", ops: Sequence[tuple]) -> List[object]:
     """Execute envelope ops directly against the coordinator image.
 
-    The membership/rebalance planners speak the same stringly-typed op
+    The membership planners speak the same stringly-typed op
     vocabulary as the parallel engine but always run with the pool drained
     (a topology change reshapes every fragment), so their envelopes execute
     in-process: nodes bill the real ledger and mutations land on the real
@@ -593,14 +593,11 @@ class RefreshJournal:
 
     # ------------------------------------------------------------- writers
 
-    def log_insert(self, node: int, name: str, rowid: int, row, tag: "Tag") -> None:
-        self._log("frag_delta", node, name).add(OP_INSERT, rowid, row, tag)
-
     def log_insert_run(
         self, node: int, name: str, rowids: Sequence[int], rows: Sequence,
         tag: "Tag",
     ) -> None:
-        """Bulk form of :meth:`log_insert` for one fragment's insert batch
+        """Log one fragment's insert batch
         (columns extend at C speed — the journal must stay cheap enough
         that armed-but-unread statements cost ~nothing)."""
         if rowids:
@@ -611,18 +608,10 @@ class RefreshJournal:
     def log_delete(self, node: int, name: str, rowid: int, row, tag: "Tag") -> None:
         self._log("frag_delta", node, name).add(OP_DELETE, rowid, row, tag)
 
-    def log_gi_insert(
-        self, node: int, name: str, key, grid: GlobalRowId, tag: "Tag"
-    ) -> None:
-        self._log("gi_delta", node, name).add(
-            OP_INSERT, grid.rowid, key, tag, ref=grid.node
-        )
-
     def log_gi_insert_run(
         self, node: int, name: str, entries: Sequence, tag: "Tag"
     ) -> None:
-        """Bulk form of :meth:`log_gi_insert` for one partition's
-        ``(key, GlobalRowId)`` entry batch."""
+        """Log one partition's ``(key, GlobalRowId)`` entry batch."""
         if entries:
             self._log("gi_delta", node, name).extend(
                 OP_INSERT,
@@ -677,8 +666,7 @@ def _worker_main(cluster: "Cluster", conn, threshold: int) -> None:
 
     Reply envelope: ``("ok", results, cells, elapsed_ns, cpu_ns, events)``.
     ``cpu_ns`` (CPU time — immune to scheduler preemption, which matters on
-    core-starved runners) feeds ``worker_busy_ns`` and the rebalancer's
-    busy-skew signal;
+    core-starved runners) feeds ``worker_busy_ns``;
     ``elapsed_ns`` feeds the superstep-duration histogram; ``events``
     carries the compact :func:`_note_event` tallies of a traced superstep
     (empty otherwise).

@@ -82,11 +82,10 @@ class ConsistentHashPartitioning:
         schema: Schema,
         num_nodes: int,
         tokens: Optional[Sequence[int]] = None,
-        weights: Optional[Dict[int, int]] = None,
     ) -> "BoundConsistentHash":
         if tokens is None:
             tokens = list(range(num_nodes))
-        return BoundConsistentHash(self, schema, list(tokens), weights)
+        return BoundConsistentHash(self, schema, list(tokens))
 
     def describe(self) -> str:
         return f"consistent({self.column})"
@@ -144,10 +143,10 @@ class BoundConsistentHash:
     """A consistent-hash ring bound to a schema and a set of node tokens.
 
     ``tokens[i]`` is the stable identity of node id ``i``; each token owns
-    ``weights.get(token, spec.vnodes)`` points on a 64-bit ring.  A key is
-    placed on the first ring point at or after its hash (wrapping), and the
-    point's token resolves to the *current* node id — so renumbering node
-    ids only updates the token list, never the ring geometry.  Points and
+    ``spec.vnodes`` points on a 64-bit ring.  A key is placed on the first
+    ring point at or after its hash (wrapping), and the point's token
+    resolves to the *current* node id — so renumbering node ids only
+    updates the token list, never the ring geometry.  Points and
     key positions use blake2b (CRC-32 of near-identical short strings
     clusters badly, which would defeat the vnode spreading).
     """
@@ -157,7 +156,6 @@ class BoundConsistentHash:
         spec: ConsistentHashPartitioning,
         schema: Schema,
         tokens: Sequence[int],
-        weights: Optional[Dict[int, int]] = None,
     ) -> None:
         if len(tokens) < 1:
             raise ValueError("a cluster needs at least one node")
@@ -166,15 +164,13 @@ class BoundConsistentHash:
         self.spec = spec
         self.schema = schema
         self.tokens = list(tokens)
-        self.weights = dict(weights or {})
         self.num_nodes = len(self.tokens)
         self.column = spec.column
         self._position = schema.index_of(spec.column)
         self._node_of_token = {t: i for i, t in enumerate(self.tokens)}
         points: List[Tuple[int, int]] = []
         for token in self.tokens:
-            count = max(1, self.weights.get(token, spec.vnodes))
-            for v in range(count):
+            for v in range(max(1, spec.vnodes)):
                 points.append((_ring_point(f"vnode:{token}:{v}"), token))
         # Ties (hash collisions across tokens) break by token for determinism.
         points.sort()
@@ -215,16 +211,13 @@ class BoundConsistentHash:
         self,
         num_nodes: int,
         tokens: Optional[Sequence[int]] = None,
-        weights: Optional[Dict[int, int]] = None,
     ) -> "BoundConsistentHash":
         """A fresh ring for a changed membership (minimal-movement remap)."""
         if tokens is None:
             tokens = list(range(num_nodes))
         if len(tokens) != num_nodes:
             raise ValueError("token list must match the node count")
-        if weights is None:
-            weights = self.weights
-        return BoundConsistentHash(self.spec, self.schema, list(tokens), weights)
+        return BoundConsistentHash(self.spec, self.schema, list(tokens))
 
 
 class BoundRoundRobin:

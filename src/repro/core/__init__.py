@@ -1,6 +1,6 @@
 """The paper's contribution: join-view maintenance methods and planning."""
 
-from .delta import Delta, PlacedRow, ViewDelta
+from .delta import Delta, PlacedRow
 from .view import (
     BoundView,
     JoinCondition,
@@ -35,13 +35,7 @@ from .trimming import (
 )
 from .hybrid import DEFAULT_AR_ROW_BUDGET, provision_hybrid
 from .shared import MultiViewStats, SharedMaintenanceContext, maintain_views
-from .workload_advisor import (
-    SharingProposal,
-    WorkloadAdvisor,
-    WorkloadProfile,
-    WorkloadVerdict,
-    propose_structure_sharing,
-)
+from .workload_advisor import WorkloadAdvisor, WorkloadProfile, WorkloadVerdict
 from .aggregates import (
     Aggregate,
     AggregateFunction,
@@ -61,7 +55,6 @@ from .registry import define_join_view, recompute_view
 __all__ = [
     "Delta",
     "PlacedRow",
-    "ViewDelta",
     "JoinCondition",
     "JoinViewDefinition",
     "BoundView",
@@ -96,8 +89,6 @@ __all__ = [
     "WorkloadAdvisor",
     "WorkloadProfile",
     "WorkloadVerdict",
-    "SharingProposal",
-    "propose_structure_sharing",
     "MultiViewStats",
     "SharedMaintenanceContext",
     "maintain_views",

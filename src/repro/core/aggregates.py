@@ -34,6 +34,7 @@ from ..costs import Op, Tag
 from ..storage.schema import Column, Row, Schema
 from .delta import Delta
 from .maintenance import JoinStrategy, JoinViewMaintainer, MaintenanceMethod
+from .registry import materialize
 from .view import BoundView, JoinViewDefinition, SelectItem, ViewDefinitionError
 
 
@@ -119,6 +120,27 @@ class AggregateViewMaintainer(JoinViewMaintainer):
         for aggregate in spec.aggregates:
             if aggregate.source is not None and aggregate.source not in self.sum_sources:
                 self.sum_sources.append(aggregate.source)
+
+    def derive(self) -> Dict[int, List[Row]]:
+        """The stored group rows recomputed from the base relations, each
+        on its group's home node: ``{node: [rows]}``."""
+        select = self.bound.select
+        group_positions = tuple(select.index(item) for item in self.spec.group_by)
+        sum_positions = tuple(select.index(item) for item in self.sum_sources)
+        groups: Dict[Row, List[float]] = {}
+        for row, multiplicity in self._evaluate().items():
+            group = tuple(row[i] for i in group_positions)
+            entry = groups.setdefault(group, [0, *([0.0] * len(sum_positions))])
+            entry[0] += multiplicity
+            for offset, position in enumerate(sum_positions):
+                entry[1 + offset] += multiplicity * float(row[position])
+        placed: Dict[int, List[Row]] = {}
+        node_of_key = self.view_info.partitioner.node_of_key
+        for group, entry in groups.items():
+            placed.setdefault(node_of_key(group), []).append(
+                group + (int(entry[0]),) + tuple(entry[1:])
+            )
+        return placed
 
     # ---------------------------------------------------------- the apply
 
@@ -369,30 +391,7 @@ def define_aggregate_join_view(
     )
     view_info.maintainer = maintainer
     cluster.catalog.add_view(view_info, list(definition.relations))
-
-    # Initial materialization from current contents (uncharged).
-    counter = bound.evaluate(
-        {name: cluster.scan_relation(name) for name in definition.relations}
-    )
-    boot: Dict[Row, List[float]] = {}
-    group_positions = tuple(
-        bound.select.index(item) for item in spec.group_by
-    )
-    sum_positions = tuple(
-        bound.select.index(item) for item in maintainer.sum_sources
-    )
-    for row, multiplicity in counter.items():
-        group = tuple(row[i] for i in group_positions)
-        entry = boot.setdefault(group, [0, *([0.0] * len(sum_positions))])
-        entry[0] += multiplicity
-        for offset, position in enumerate(sum_positions):
-            entry[1 + offset] += multiplicity * float(row[position])
-    for group, entry in boot.items():
-        home = partitioner.node_of_key(group)
-        cluster.nodes[home].fragment(definition.name).insert(
-            group + (int(entry[0]),) + tuple(entry[1:])
-        )
-        view_info.row_count += 1
+    materialize(maintainer)
     return view_info
 
 

@@ -289,15 +289,3 @@ class DeltaBlock:
             f"entries={len(self)})"
         )
 
-
-@dataclass(frozen=True, slots=True)
-class ViewDelta:
-    """Computed change to a view: rows to add and rows to remove.
-
-    ``inserts``/``deletes`` pair each result row with the node that produced
-    it (the join site), which determines the SEND to the view's home node.
-    """
-
-    view: str
-    inserts: Tuple[Tuple[int, Row], ...] = ()
-    deletes: Tuple[Tuple[int, Row], ...] = ()

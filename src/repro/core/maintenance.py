@@ -11,6 +11,7 @@ applies the resulting view delta.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..cluster.catalog import ViewInfo
@@ -25,7 +26,6 @@ from .multiway import (
     GlobalIndexAccess,
     Hop,
     MaintenancePlan,
-    OutputMapper,
 )
 from .view import BoundView
 
@@ -88,6 +88,27 @@ class JoinViewMaintainer:
     @property
     def method(self) -> MaintenanceMethod:
         return self.planner.method
+
+    def derive(self) -> Dict[int, List[Row]]:
+        """The view's stored rows recomputed from the base relations, each
+        on the node the view's partitioner places it: ``{node: [rows]}``.
+
+        The one definition of a view's offline build: the DDL backfill and
+        :meth:`repro.faults.ConsistencyAuditor.repair` both write it.
+        """
+        placed: Dict[int, List[Row]] = {}
+        node_of_row = self.view_info.partitioner.node_of_row
+        for row, multiplicity in self._evaluate().items():
+            for _ in range(multiplicity):
+                placed.setdefault(node_of_row(row), []).append(row)
+        return placed
+
+    def _evaluate(self) -> Counter:
+        """The defining join over the current base contents (a bag)."""
+        return self.bound.evaluate({
+            name: self.cluster.scan_relation(name)
+            for name in self.bound.definition.relations
+        })
 
     # ------------------------------------------------------------- driver
 
@@ -216,17 +237,6 @@ class JoinViewMaintainer:
         if self.strategy is JoinStrategy.SORT_MERGE:
             return True
         return self.planner.prefer_sort_merge(hop, state_size)
-
-    def _compile_filters(self, hop: Hop, mapper: OutputMapper):
-        """Turn extra join conditions into (left position, partner column
-        position) pairs evaluated against candidate joined tuples."""
-        compiled = []
-        for condition in hop.extra_filters:
-            left_relation, left_column = condition.other(hop.partner)
-            left_position = mapper.position(left_relation, left_column)
-            partner_position = hop.contributed.index_of(condition.column_of(hop.partner))
-            compiled.append((left_position, partner_position))
-        return compiled
 
     @staticmethod
     def _passes(

@@ -259,11 +259,6 @@ class CompiledJoin:
     layout: JoinLayout
     hops: Tuple[CompiledHop, ...]
 
-    @property
-    def clause_key(self) -> Tuple:
-        """Hashable identity of the join clause this compilation serves."""
-        return (self.plan.updated, self.plan.updated_schema, self.plan.hops)
-
 
 @dataclass(frozen=True)
 class CompiledPlan:
@@ -305,12 +300,6 @@ def attach_select(bound: BoundView, join: CompiledJoin) -> CompiledPlan:
     """Wrap a (possibly shared) compiled join with one view's projection."""
     mapper = OutputMapper(bound, join.plan, layout=join.layout)
     return CompiledPlan(plan=join.plan, mapper=mapper, hops=join.hops, join=join)
-
-
-def compile_plan(bound: BoundView, plan: MaintenancePlan) -> CompiledPlan:
-    """Resolve the mapper, probe-key positions, and filter positions of a
-    plan once, ahead of execution."""
-    return attach_select(bound, compile_join(plan))
 
 
 class OutputMapper:

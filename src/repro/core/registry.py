@@ -97,21 +97,20 @@ def define_join_view(
     cluster.catalog.add_view(view_info, list(definition.relations))
 
     if initial_load:
-        _materialize(cluster, view_info, bound)
+        materialize(maintainer)
     return view_info
 
 
-def _materialize(cluster: "Cluster", view_info: ViewInfo, bound: BoundView) -> None:
-    """Load the view's current contents without charging the ledger."""
-    contents = {
-        name: cluster.scan_relation(name) for name in bound.definition.relations
-    }
-    counter = bound.evaluate(contents)
-    for row, multiplicity in counter.items():
-        for _ in range(multiplicity):
-            destination = view_info.partitioner.node_of_row(row)
-            cluster.nodes[destination].fragment(view_info.name).insert(row)
-            view_info.row_count += 1
+def materialize(maintainer: JoinViewMaintainer) -> None:
+    """Write ``maintainer.derive()`` into the view's empty fragments
+    without charging the ledger."""
+    view_info = maintainer.view_info
+    nodes = maintainer.cluster.nodes
+    for node_id, rows in maintainer.derive().items():
+        fragment = nodes[node_id].fragment(view_info.name)
+        for row in rows:
+            fragment.insert(row)
+        view_info.row_count += len(rows)
 
 
 def recompute_view(cluster: "Cluster", view_name: str):

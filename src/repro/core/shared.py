@@ -120,16 +120,6 @@ class MultiViewStats:
             return 0.0
         return self.partition_passes / self.statements
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "statements": self.statements,
-            "partition_passes": self.partition_passes,
-            "partition_passes_per_statement": self.partition_passes_per_statement,
-            "probes_executed": self.probes_executed,
-            "probes_deduped": self.probes_deduped,
-        }
-
-
 def _shareable(maintainer: object) -> bool:
     """Whether a maintainer may join a shared group.
 

@@ -12,7 +12,7 @@ analytical model's per-method maintenance TW.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..model import (
     JoinRegime,
@@ -199,99 +199,3 @@ class WorkloadAdvisor:
             per_method_maintenance=per_method,
         )
 
-
-# ---------------------------------------------------- structure sharing
-
-
-@dataclass(frozen=True)
-class SharingProposal:
-    """One (relation, column) probe slot that several views demand.
-
-    Views whose join clauses overlap on a slot the relation is *not*
-    partitioned on each need an auxiliary structure there; provisioning
-    one per view stores ``len(views)`` copies of the relation's rows where
-    one shared copy serves them all.  ``structure`` names an existing
-    AR/GI already covering the slot (``kind`` says which); ``adopters``
-    are the demanding views not yet registered on it.
-    """
-
-    relation: str
-    column: str
-    views: Tuple[str, ...]
-    kind: str  # "auxiliary" | "global_index" | "new"
-    structure: Optional[str]
-    adopters: Tuple[str, ...]
-    rows_saved: int
-
-    def explain(self) -> str:
-        slot = f"{self.relation}.{self.column}"
-        if self.structure is None:
-            return (
-                f"provision one shared structure on {slot} for views "
-                f"{', '.join(self.views)}: saves ~{self.rows_saved:,} "
-                f"stored rows vs one copy per view"
-            )
-        return (
-            f"share {self.kind} {self.structure!r} on {slot} across views "
-            f"{', '.join(self.views)}"
-            + (
-                f" (adopt: {', '.join(self.adopters)})"
-                if self.adopters
-                else " (already shared)"
-            )
-        )
-
-
-def propose_structure_sharing(cluster) -> List[SharingProposal]:
-    """Which auxiliary structures views with overlapping join clauses
-    should share.
-
-    Walks every registered view's join conditions and collects, per
-    (relation, column) side that the relation is *not* hash-partitioned
-    on (the partitioned side is the free ride every method exploits), the
-    set of views demanding a probe structure there.  Slots demanded by
-    two or more views become proposals, largest row saving first — the
-    multi-view analogue of the paper's per-view provisioning decision.
-    """
-    catalog = cluster.catalog
-    demands: Dict[Tuple[str, str], List[str]] = {}
-    for view in catalog.views.values():
-        definition = view.definition
-        for condition in definition.conditions:
-            for relation, column in (
-                (condition.left, condition.left_column),
-                (condition.right, condition.right_column),
-            ):
-                info = catalog.relations.get(relation)
-                if info is None or info.is_partitioned_on(column):
-                    continue
-                names = demands.setdefault((relation, column), [])
-                if view.name not in names:
-                    names.append(view.name)
-    proposals: List[SharingProposal] = []
-    for (relation, column), names in demands.items():
-        if len(names) < 2:
-            continue
-        ar = catalog.find_auxiliary(relation, column)
-        gi = catalog.find_global_index(relation, column)
-        if ar is not None:
-            kind, structure, serves = "auxiliary", ar.name, ar.serves_views
-        elif gi is not None:
-            kind, structure, serves = "global_index", gi.name, gi.serves_views
-        else:
-            kind, structure, serves = "new", None, []
-        adopters = tuple(name for name in names if name not in serves)
-        rows_saved = catalog.relation(relation).row_count * (len(names) - 1)
-        proposals.append(
-            SharingProposal(
-                relation=relation,
-                column=column,
-                views=tuple(names),
-                kind=kind,
-                structure=structure,
-                adopters=adopters,
-                rows_saved=rows_saved,
-            )
-        )
-    proposals.sort(key=lambda p: (-p.rows_saved, p.relation, p.column))
-    return proposals

@@ -273,7 +273,7 @@ class ConsistencyAuditor:
         model and atomicity).
         """
         from ..core.deferred import DeferredMaintainer
-        from ..core.registry import recompute_view
+        from ..core.registry import materialize
         from ..storage import GlobalRowId
 
         cluster = self.cluster
@@ -316,18 +316,14 @@ class ConsistencyAuditor:
             maintainer = info.maintainer
             if isinstance(maintainer, DeferredMaintainer):
                 maintainer.discard_pending()
+                maintainer = maintainer.inner
             for node in cluster.nodes:
                 if node.has_fragment(name):
                     fragment = node.fragment(name)
                     for rowid, _ in list(fragment.table.scan()):
                         fragment.delete(rowid)
             info.row_count = 0
-            contents = recompute_view(cluster, name)
-            for row, multiplicity in contents.items():
-                for _ in range(multiplicity):
-                    dest = info.partitioner.node_of_row(row)
-                    cluster.nodes[dest].fragment(name).insert(row)
-                    info.row_count += 1
+            materialize(maintainer)
             report.views_rebuilt.append(name)
         # Rebuilt fragments bypassed the replication hooks: re-converge the
         # replica bags (uncharged, like the rebuild itself).

@@ -144,9 +144,6 @@ class FaultPlan:
 
     # --------------------------------------------------------------- queries
 
-    def counted_events(self) -> List[FaultEvent]:
-        return [e for e in self.events if e.probability is None]
-
     def is_empty(self) -> bool:
         return not self.events
 

@@ -337,11 +337,6 @@ class FaultController:
         report.rebuilt = rebuilt
         return report
 
-    def rebuild_derived(self) -> RepairReport:
-        """Force the naive-recomputation fallback right now."""
-        self._needs_rebuild = False
-        self.stats.rebuilds += 1
-        return ConsistencyAuditor(self.cluster).repair()
 
 
 def attach_faults(

@@ -1,20 +1,5 @@
-"""Single-node join algorithms and the regime chooser."""
+"""Single-node index nested loops join (the small-delta regime's algorithm)."""
 
 from .nested_loops import index_nested_loops_join
-from .sort_merge import sort_merge_join
-from .hash_join import hash_join
-from .chooser import JoinChoice, JoinSituation, choose, crossover_outer_rows
-from . import nested_loops, sort_merge, hash_join as hash_join_module
 
-__all__ = [
-    "index_nested_loops_join",
-    "sort_merge_join",
-    "hash_join",
-    "JoinSituation",
-    "JoinChoice",
-    "choose",
-    "crossover_outer_rows",
-    "nested_loops",
-    "sort_merge",
-    "hash_join_module",
-]
+__all__ = ["index_nested_loops_join"]

@@ -40,18 +40,3 @@ def index_nested_loops_join(
             results.append((outer_row, inner_index.table.fetch(rowid)))
     return results
 
-
-def estimate_cost_ios(
-    num_outer: int,
-    fanout: float,
-    clustered: bool,
-    search_ios: float = 1.0,
-    fetch_ios: float = 1.0,
-) -> float:
-    """Predicted I/Os: probes plus per-match fetches when non-clustered."""
-    if num_outer < 0:
-        raise ValueError("num_outer must be >= 0")
-    cost = num_outer * search_ios
-    if not clustered:
-        cost += num_outer * fanout * fetch_ios
-    return cost

@@ -98,12 +98,6 @@ class ResponsePrediction:
     sort_merge_ios: float
 
     @property
-    def chosen_regime(self) -> JoinRegime:
-        if self.sort_merge_ios < self.index_ios:
-            return JoinRegime.SORT_MERGE
-        return JoinRegime.INDEX_NESTED_LOOPS
-
-    @property
     def ios(self) -> float:
         return min(self.index_ios, self.sort_merge_ios)
 

@@ -230,8 +230,7 @@ def collect_cluster_metrics(
                 )
     node_load = registry.gauge(
         "repro_node_load_ios",
-        "Weighted I/Os charged per node over the cluster's lifetime — the "
-        "rebalancer's primary load signal",
+        "Weighted I/Os charged per node over the cluster's lifetime",
     )
     per_node = snapshot.per_node_ios()
     for node_id in range(cluster.num_nodes):
@@ -242,8 +241,7 @@ def collect_cluster_metrics(
     if engine is not None:
         busy = registry.gauge(
             "repro_worker_busy_ns",
-            "Cumulative busy nanoseconds per pool worker (skew feeds the "
-            "rebalancer's secondary signal)",
+            "Cumulative busy nanoseconds per pool worker",
         )
         for worker_id, busy_ns in enumerate(engine.worker_busy_ns):
             busy.set(busy_ns, worker=worker_id)

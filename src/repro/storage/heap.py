@@ -117,17 +117,6 @@ class HeapTable:
         return list(self._rows.values())
 
     @property
-    def next_rowid(self) -> int:
-        """The rowid the next insert will receive (rowids are never reused).
-
-        Lets the parallel execution engine precompute the placements of a
-        batch of inserts before shipping them to a node worker: a batch of
-        ``n`` rows lands on ``next_rowid .. next_rowid + n - 1``, exactly as
-        :meth:`insert_many` assigns them.
-        """
-        return self._next_rowid
-
-    @property
     def num_pages(self) -> int:
         """Pages occupied by this fragment (dense-packing approximation)."""
         return self.layout.pages_for_tuples(len(self._rows))

@@ -10,9 +10,11 @@ from repro.core import (
     AggregateFunction,
     AggregateSpec,
     aggregate_rows,
+    defer_view,
     define_aggregate_join_view,
     recompute_aggregate,
 )
+from repro.faults import RecoveryPolicy
 from repro.core.view import ViewDefinitionError, two_way_view
 
 
@@ -282,3 +284,39 @@ def test_aggregate_rewrites_keep_replicas_current_through_fail_over(method):
     assert report.restored.get("AGG")
     check(cluster, "AGG")
     assert ConsistencyAuditor(cluster).audit().ok
+
+
+@pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
+def test_repair_and_recover_rebuild_aggregate_views(deferred):
+    """Regression: ``repair()`` rebuilt every view as join rows, so an
+    aggregate view raised ``SchemaError`` half-way and was left empty —
+    also through ``recover()`` whenever a rebuild was pending."""
+    cluster = fresh()
+    if deferred:
+        defer_view(cluster, "AGG")
+    cluster.insert("A", [(i, i % 3, "x") for i in range(9)])
+    auditor = ConsistencyAuditor(cluster)
+    assert auditor.audit().ok
+    groups = agg_counter(aggregate_rows(cluster, "AGG"))
+    assert len(groups) == 3
+    auditor.repair()
+    assert auditor.audit().ok
+    assert agg_counter(aggregate_rows(cluster, "AGG")) == groups
+
+    # Node 2 holds A's auxiliary copies of c == 2: with it down, those
+    # statements apply their base writes only and leave a rebuild pending.
+    controller = attach_faults(
+        cluster,
+        plan=FaultPlan().crash(node=2, after_messages=0),
+        seed=0,
+        policy=RecoveryPolicy(degrade_when_down=True),
+    )
+    a = cluster.catalog.relation("A").partitioner
+    for row in [(i, i % 3, "y") for i in range(20, 32)]:
+        if a.node_of_row(row) != 2:
+            cluster.insert("A", [row])
+    assert controller.needs_rebuild
+    assert controller.recover().rebuilt is not None
+    assert ConsistencyAuditor(cluster).audit().ok
+    check(cluster, "AGG")
+    assert len(agg_counter(aggregate_rows(cluster, "AGG"))) == 3

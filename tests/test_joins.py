@@ -1,21 +1,8 @@
-"""Tests for repro.joins (algorithms and regime chooser)."""
+"""Tests for repro.joins (the index nested loops join)."""
 
-import pytest
-
-from repro.joins import (
-    JoinSituation,
-    choose,
-    crossover_outer_rows,
-    hash_join,
-    index_nested_loops_join,
-    sort_merge_join,
-)
-from repro.joins.nested_loops import estimate_cost_ios as inl_cost
-from repro.joins.sort_merge import estimate_cost_ios as sm_cost
-from repro.joins.hash_join import estimate_cost_ios as hj_cost
+from repro.joins import index_nested_loops_join
 from repro.storage.heap import HeapTable
 from repro.storage.index import IndexedHeap
-from repro.storage.pages import PageLayout
 from repro.storage.schema import Schema
 
 
@@ -57,76 +44,3 @@ def test_index_nested_loops_accounting_clustered_no_fetch():
         OUTER, lambda r: r[1], index, on_fetch=fetches.append
     )
     assert fetches == []
-
-
-def test_sort_merge_results_match_inl():
-    results = sort_merge_join(OUTER, lambda r: r[1], INNER, lambda r: r[0])
-    assert set(results) == EXPECTED
-
-
-def test_sort_merge_duplicate_cross_product():
-    left = [(1,), (1,)]
-    right = [(1, "x"), (1, "y")]
-    results = sort_merge_join(left, lambda r: r[0], right, lambda r: r[0])
-    assert len(results) == 4
-
-
-def test_sort_merge_empty_inputs():
-    assert sort_merge_join([], lambda r: r, INNER, lambda r: r[0]) == []
-    assert sort_merge_join(OUTER, lambda r: r[1], [], lambda r: r) == []
-
-
-def test_hash_join_results_match():
-    results = hash_join(INNER, lambda r: r[0], OUTER, lambda r: r[1])
-    assert set(results) == EXPECTED
-
-
-def test_all_three_algorithms_agree():
-    inl = set(index_nested_loops_join(OUTER, lambda r: r[1], build_inner(INNER)))
-    sm = set(sort_merge_join(OUTER, lambda r: r[1], INNER, lambda r: r[0]))
-    hj = set(hash_join(INNER, lambda r: r[0], OUTER, lambda r: r[1]))
-    assert inl == sm == hj
-
-
-def test_inl_cost_estimate():
-    assert inl_cost(100, fanout=2.0, clustered=False) == 300.0
-    assert inl_cost(100, fanout=2.0, clustered=True) == 100.0
-    with pytest.raises(ValueError):
-        inl_cost(-1, 1.0, True)
-
-
-def test_sm_cost_estimate():
-    layout = PageLayout(tuples_per_page=1, memory_pages=10)
-    assert sm_cost(5, layout, clustered=True) == 5.0
-    assert sm_cost(100, layout, clustered=False) == layout.sort_cost_pages(100)
-    with pytest.raises(NotImplementedError):
-        sm_cost(5, layout, clustered=True, delta_fits_memory=False)
-
-
-def test_hash_join_cost_estimate():
-    layout = PageLayout(tuples_per_page=1, memory_pages=10)
-    assert hj_cost(5, layout) == 5.0
-    assert hj_cost(100, layout) == 300.0
-    assert hj_cost(100, layout, fits_memory=True) == 100.0
-
-
-def test_chooser_small_delta_inl():
-    layout = PageLayout(tuples_per_page=1, memory_pages=100)
-    choice = choose(JoinSituation(1, 1.0, 1_000, True, layout))
-    assert choice.algorithm == "index_nested_loops"
-    assert choice.winner_ios == choice.inl_ios
-
-
-def test_chooser_large_delta_sort_merge():
-    layout = PageLayout(tuples_per_page=1, memory_pages=100)
-    choice = choose(JoinSituation(10_000, 1.0, 1_000, True, layout))
-    assert choice.algorithm == "sort_merge"
-
-
-def test_crossover_boundary():
-    layout = PageLayout(tuples_per_page=1, memory_pages=100)
-    crossover = crossover_outer_rows(1.0, 1_000, True, layout)
-    before = choose(JoinSituation(crossover - 1, 1.0, 1_000, True, layout))
-    after = choose(JoinSituation(crossover, 1.0, 1_000, True, layout))
-    assert before.algorithm == "index_nested_loops"
-    assert after.algorithm == "sort_merge"

@@ -11,7 +11,6 @@ workload twice and diffing cells bit-for-bit.
 import pytest
 
 from repro import Cluster, Schema
-from repro.cluster import ConsistentHashPartitioning, Rebalancer
 from repro.cluster.membership import available_rows
 from repro.core.deferred import defer_view
 from repro.costs import Op, Tag
@@ -280,61 +279,3 @@ def test_fixed_topology_ledger_untouched_by_elastic_machinery():
     assert not diff, format_cell_diff(diff)
     assert first.membership.epoch == 0
     assert first.membership.events == []
-
-
-# ------------------------------------------------------------- rebalancer
-
-
-def rebalance_cluster():
-    cluster = Cluster(num_nodes=4, sanitize=True)
-    cluster.create_relation(
-        Schema.of("R", "k", "v"), partitioned_on="k",
-        spec=ConsistentHashPartitioning("k"),
-    )
-    cluster.insert("R", [(i, f"v{i}") for i in range(300)])
-    return cluster
-
-
-def test_rebalancer_quiet_when_balanced():
-    cluster = rebalance_cluster()
-    rebalancer = Rebalancer(cluster, skew_threshold=10.0)
-    assert rebalancer.propose() is None
-    assert rebalancer.run_once() is None
-
-
-def test_rebalancer_shifts_weight_from_hot_node():
-    cluster = rebalance_cluster()
-    # Make node 0 artificially hot in the ledger's per-node I/O signal.
-    for _ in range(40):
-        cluster.ledger.charge(0, Op.SCAN_PAGE, Tag.QUERY, count=100)
-    rebalancer = Rebalancer(cluster, skew_threshold=1.2, step=8)
-    proposal = rebalancer.propose()
-    assert proposal is not None
-    assert proposal.hot_node == 0
-    report = rebalancer.execute(proposal)
-    assert report.moved_rows > 0
-    hot_token = cluster.membership.tokens[0]
-    assert cluster.membership.weights[hot_token] < 64
-    snap = cluster.ledger.snapshot()
-    assert snap.total_workload(tags=[Tag.MIGRATE]) > 0
-    report = ConsistencyAuditor(cluster).audit()
-    assert report.ok, report.summary()
-
-
-def test_rebalancer_ignores_modulo_partitioned_clusters():
-    cluster = build()  # modulo-hash relations only
-    for _ in range(40):
-        cluster.ledger.charge(0, Op.SCAN_PAGE, Tag.QUERY, count=100)
-    rebalancer = Rebalancer(cluster, skew_threshold=1.2)
-    assert rebalancer.propose() is None
-
-
-def test_rebalanced_ring_survives_later_membership_changes():
-    cluster = rebalance_cluster()
-    for _ in range(40):
-        cluster.ledger.charge(0, Op.SCAN_PAGE, Tag.QUERY, count=100)
-    Rebalancer(cluster, skew_threshold=1.2, step=8).run_once()
-    cluster.add_node()
-    cluster.remove_node(0)
-    report = ConsistencyAuditor(cluster).audit()
-    assert report.ok, report.summary()

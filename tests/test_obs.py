@@ -14,9 +14,12 @@ The acceptance bars for the tracing/metrics subsystem (``repro.obs``):
   metrics agree with the cost ledger cell for cell.
 """
 
+import ast
 import importlib
 import json
+import pkgutil
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -378,9 +381,61 @@ def test_ddl_epoch_bump_keeps_worker_cache_history():
 # ------------------------------------------------------- public surface
 
 
-@pytest.mark.parametrize("package", ["repro.obs", "repro.bench"])
+def _packages_with_all():
+    import repro
+
+    names = ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    return [n for n in names if hasattr(importlib.import_module(n), "__all__")]
+
+
+@pytest.mark.parametrize("package", _packages_with_all())
 def test_every_exported_name_resolves(package):
     """A pruned module must not leave its names behind in ``__all__``."""
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names missing {missing}"
+
+
+E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+
+
+def _e2e_imports():
+    """Every ``(module, name)`` the end-to-end benchmark imports from
+    ``repro`` (``name`` is None for a plain ``import repro...``)."""
+    found = []
+    for path in sorted(E2E.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] == "repro":
+                    found += [(path.name, node.module, a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [
+                    (path.name, a.name, None)
+                    for a in node.names
+                    if a.name.split(".")[0] == "repro"
+                ]
+    return found
+
+
+def test_benchmark_imports_resolve():
+    """A ``src/`` deletion must not break what the benchmark imports: the
+    benchmark itself is outside the tier-1 suite."""
+    imports = _e2e_imports()
+    assert imports, f"no repro imports found under {E2E}"
+    unresolved = []
+    for filename, module_name, name in imports:
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError:
+            unresolved.append(f"{filename}: {module_name}")
+            continue
+        if name is not None and not hasattr(module, name):
+            try:
+                importlib.import_module(f"{module_name}.{name}")
+            except ImportError:
+                unresolved.append(f"{filename}: {module_name}.{name}")
+    assert not unresolved, f"benchmark imports that do not resolve: {unresolved}"

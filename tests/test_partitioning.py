@@ -93,10 +93,10 @@ def test_describe():
 # ------------------------------------------------------- consistent hashing
 
 
-def _ring(num_nodes, tokens=None, weights=None, vnodes=64):
+def _ring(num_nodes, tokens=None, vnodes=64):
     schema = Schema.of("R", "k", "v")
     return ConsistentHashPartitioning("k", vnodes=vnodes).bind(
-        schema, num_nodes, tokens=tokens, weights=weights
+        schema, num_nodes, tokens=tokens
     )
 
 
@@ -157,25 +157,6 @@ def test_consistent_hash_split_deterministic_across_rebinds():
     again = bound.split(rows)
     rebound = bound.rebind(4, tokens=bound.tokens).split(rows)
     assert first == again == rebound
-
-
-def test_consistent_hash_rebind_keeps_weights():
-    bound = _ring(4, weights={2: 80})
-    rebound = bound.rebind(4, tokens=bound.tokens)
-    assert rebound.weights == {2: 80}
-    assert rebound.split([(k, "") for k in KEYS]) == bound.split(
-        [(k, "") for k in KEYS]
-    )
-
-
-def test_consistent_hash_weights_shift_load():
-    from collections import Counter
-
-    even = Counter(_ring(4).node_of_key(k) for k in KEYS)
-    heavy = Counter(
-        _ring(4, weights={0: 128}).node_of_key(k) for k in KEYS
-    )
-    assert heavy[0] > even[0]  # doubling token 0's vnodes attracts keys
 
 
 def test_consistent_hash_tokens_must_be_unique():

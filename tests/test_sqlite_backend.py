@@ -4,13 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.backends import (
-    SQLiteCluster,
-    TeradataStyleExperiment,
-    batched,
-    load_batched,
-    verify_partitioning,
-)
+from repro.backends import SQLiteCluster, TeradataStyleExperiment
 from repro.storage.schema import Schema
 
 R = Schema.of("R", "k", "v", kinds=(int, str))
@@ -26,7 +20,10 @@ def test_create_and_load_partitions(sqlite_cluster):
     sqlite_cluster.create_table(R, partitioned_on="k")
     sqlite_cluster.load("R", [(i, f"v{i}") for i in range(20)])
     assert sqlite_cluster.count("R") == 20
-    assert verify_partitioning(sqlite_cluster, "R")
+    # Every stored row sits on the node its partitioning key maps to.
+    for node in sqlite_cluster.nodes:
+        for key, _value in node.query("SELECT k, v FROM R"):
+            assert sqlite_cluster.node_of_key(key) == node.node_id
     assert sqlite_cluster.fragment_counts("R") == [5, 5, 5, 5]
 
 
@@ -136,21 +133,6 @@ def test_run_on_all_times_every_node(sqlite_cluster):
     assert result.response_seconds >= max(result.per_node_seconds) - 1e-9
     assert result.total_seconds == pytest.approx(sum(result.per_node_seconds))
     assert sum(row[0] for row in result.rows) == 8
-
-
-def test_batched_helper():
-    assert list(batched(range(5), 2)) == [[0, 1], [2, 3], [4]]
-    with pytest.raises(ValueError):
-        list(batched([], 0))
-
-
-def test_load_batched(sqlite_cluster):
-    sqlite_cluster.create_table(R, partitioned_on="k")
-    loaded = load_batched(
-        sqlite_cluster, "R", ((i, "v") for i in range(25)), batch_size=10
-    )
-    assert loaded == 25
-    assert sqlite_cluster.count("R") == 25
 
 
 # ----------------------------------------------------- maintenance rig
