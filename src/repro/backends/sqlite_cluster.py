@@ -63,6 +63,12 @@ class SQLiteNode:
         #: :meth:`SQLiteCluster.atomic` scope commits (or rolls back) all
         #: nodes together.
         self.defer_commits = False
+        #: SQLite VM steps run here inside :meth:`SQLiteCluster.counting_vm_steps`.
+        self.vm_steps = 0
+
+    def _count_vm_step(self) -> int:
+        self.vm_steps += 1
+        return 0  # non-zero would interrupt the statement
 
     def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
         return self.connection.execute(sql, params)
@@ -183,6 +189,24 @@ class SQLiteCluster:
         finally:
             for node in self.nodes:
                 node.defer_commits = False
+
+    @contextmanager
+    def counting_vm_steps(self) -> Iterator["SQLiteCluster"]:
+        """Count SQLite VM steps at every node while the scope is open.
+
+        A progress handler called at every VM step counts the work a
+        statement does: unlike wall time, the count is the same on every
+        run.  It slows execution many-fold, so no timing taken inside the
+        scope means anything.  :meth:`run_on_all` reports each node's count
+        as :attr:`ParallelResult.per_node_steps`.
+        """
+        for node in self.nodes:
+            node.connection.set_progress_handler(node._count_vm_step, 1)
+        try:
+            yield self
+        finally:
+            for node in self.nodes:
+                node.connection.set_progress_handler(None, 1)
 
     # ----------------------------------------------------------------- DML
 
@@ -313,12 +337,15 @@ class SQLiteCluster:
         truly parallel execution would report."""
         per_node_rows: List[List[Tuple]] = []
         per_node_seconds: List[float] = []
+        per_node_steps: List[int] = []
         for node in self.nodes:
+            steps = node.vm_steps
             start = time.perf_counter()
             rows = work(node)
             per_node_seconds.append(time.perf_counter() - start)
+            per_node_steps.append(node.vm_steps - steps)
             per_node_rows.append(rows)
-        return ParallelResult(per_node_rows, per_node_seconds)
+        return ParallelResult(per_node_rows, per_node_seconds, per_node_steps)
 
 
 @dataclass
@@ -327,6 +354,9 @@ class ParallelResult:
 
     per_node_rows: List[List[Tuple]]
     per_node_seconds: List[float]
+    #: SQLite VM steps per node; zeros outside
+    #: :meth:`SQLiteCluster.counting_vm_steps`.
+    per_node_steps: List[int] = field(default_factory=list)
 
     @property
     def rows(self) -> List[Tuple]:
@@ -336,6 +366,11 @@ class ParallelResult:
     def response_seconds(self) -> float:
         """The slowest node: the paper's response-time metric."""
         return max(self.per_node_seconds) if self.per_node_seconds else 0.0
+
+    @property
+    def response_steps(self) -> int:
+        """The busiest node's VM steps: response time's deterministic twin."""
+        return max(self.per_node_steps, default=0)
 
     @property
     def total_seconds(self) -> float:

@@ -51,6 +51,9 @@ class StepTiming:
     response_seconds: float
     total_seconds: float
     result_rows: int
+    #: The busiest node's SQLite VM steps per phase, summed; counted only
+    #: inside :meth:`SQLiteCluster.counting_vm_steps`.
+    response_steps: int = 0
 
 
 class TeradataStyleExperiment:
@@ -372,6 +375,7 @@ def _timing(method: str, view: str, result: ParallelResult) -> StepTiming:
         response_seconds=result.response_seconds,
         total_seconds=result.total_seconds,
         result_rows=len(result.rows),
+        response_steps=result.response_steps,
     )
 
 
@@ -384,4 +388,5 @@ def _timing_two_phase(
         response_seconds=phase1.response_seconds + phase2.response_seconds,
         total_seconds=phase1.total_seconds + phase2.total_seconds,
         result_rows=len(phase2.rows),
+        response_steps=phase1.response_steps + phase2.response_steps,
     )

@@ -31,6 +31,7 @@ from ..cluster.catalog import ViewInfo
 from ..cluster.membership import _check_no_open_scope
 from ..cluster.partitioning import HashPartitioning
 from ..costs import Op, Tag
+from ..storage.index import LocalIndex
 from ..storage.schema import Column, Row, Schema
 from .delta import Delta
 from .maintenance import JoinStrategy, JoinViewMaintainer, MaintenanceMethod
@@ -371,10 +372,8 @@ def define_aggregate_join_view(
     storage_schema = aggregate_storage_schema(definition.name, spec, bound)
     for node in cluster.nodes:
         fragment = node.create_fragment(storage_schema)
-        # The _group index maps the packed group-key tuple to its row; the
-        # index key extractor is the group-column prefix.
-        index = _GroupIndex(fragment.table, len(spec.group_by))
-        fragment.indexes["_group"] = index
+        # The _group index maps the packed group-key tuple to its row.
+        fragment.indexes["_group"] = _GroupIndex(fragment.table, "_count")
     partitioner = _GroupPartitioner(storage_schema, cluster.num_nodes, len(spec.group_by))
 
     planner = MaintenancePlanner(cluster, bound, method)
@@ -443,33 +442,13 @@ def recompute_aggregate(cluster, view_name: str) -> List[Row]:
     return rows
 
 
-class _GroupIndex:
-    """A LocalIndex-alike keyed by the group-column prefix of stored rows."""
-
-    def __init__(self, table, group_arity: int) -> None:
-        self.table = table
-        self.group_arity = group_arity
-        self.clustered = False
-        self.column = "_group"
-        self._entries: Dict[Row, List[int]] = {}
+class _GroupIndex(LocalIndex):
+    """The ``_group`` index: a :class:`LocalIndex` keyed by the stored
+    row's group-column prefix — every column before ``_count``, the index
+    column."""
 
     def key_of(self, row: Row) -> Row:
-        return tuple(row[: self.group_arity])
-
-    def on_insert(self, rowid: int, row: Row) -> None:
-        self._entries.setdefault(self.key_of(row), []).append(rowid)
-
-    def on_delete(self, rowid: int, row: Row) -> None:
-        key = self.key_of(row)
-        self._entries[key].remove(rowid)
-        if not self._entries[key]:
-            del self._entries[key]
-
-    def search(self, key: Row) -> List[int]:
-        return list(self._entries.get(tuple(key), ()))
-
-    def distinct_keys(self) -> int:
-        return len(self._entries)
+        return row[: self._position]
 
 
 class _GroupPartitioner:

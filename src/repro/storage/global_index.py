@@ -15,7 +15,9 @@ costs its own FETCH.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Sequence, Tuple
+
+from .entries import EntryStore
 
 
 @dataclass(frozen=True, order=True)
@@ -34,30 +36,26 @@ class GlobalIndexPartition:
     def __init__(self, relation_name: str, column: str) -> None:
         self.relation_name = relation_name
         self.column = column
-        self._entries: Dict[object, List[GlobalRowId]] = {}
+        self._entries = EntryStore()
 
     def __len__(self) -> int:
-        return sum(len(grids) for grids in self._entries.values())
+        return self._entries.total()
 
     def insert(self, key: object, grid: GlobalRowId) -> None:
-        self._entries.setdefault(key, []).append(grid)
+        self._entries.add(key, grid)
 
     def insert_many(self, entries: Iterable[Tuple[object, GlobalRowId]]) -> None:
         """Bulk insert of ``(key, grid)`` pairs, order-preserving per key."""
-        setdefault = self._entries.setdefault
-        for key, grid in entries:
-            setdefault(key, []).append(grid)
+        self._entries.add_many(entries)
 
     def delete(self, key: object, grid: GlobalRowId) -> None:
-        grids = self._entries.get(key)
-        if not grids or grid not in grids:
+        try:
+            self._entries.remove(key, grid)
+        except KeyError:
             raise KeyError(
                 f"global index on {self.relation_name}.{self.column}: "
                 f"no entry {grid} under key {key!r}"
-            )
-        grids.remove(grid)
-        if not grids:
-            del self._entries[key]
+            ) from None
 
     def delete_many(self, entries: Sequence[Tuple[object, GlobalRowId]]) -> None:
         """Undo an :meth:`insert_many`: delete its entries, newest first."""
@@ -85,7 +83,8 @@ class GlobalIndexPartition:
     def distinct_keys(self) -> int:
         return len(self._entries)
 
-    def items(self) -> Iterable[Tuple[object, List[GlobalRowId]]]:
+    def items(self) -> Iterable[Tuple[object, Collection[GlobalRowId]]]:
+        """``(key, grids)`` pairs; each ``grids`` iterates in entry order."""
         return self._entries.items()
 
     def entries(self) -> List[Tuple[object, GlobalRowId]]:

@@ -12,6 +12,7 @@ clustered on at most one attribute.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -24,6 +25,7 @@ from typing import (
     Tuple,
 )
 
+from .entries import EntryStore
 from .heap import HeapTable
 from .schema import Row
 
@@ -55,30 +57,35 @@ class LocalIndex:
         self.column = column
         self.clustered = clustered
         self._position = table.schema.index_of(column)
-        self._entries: Dict[object, List[int]] = {}
-        for rowid, row in table.scan():
-            self._entries.setdefault(row[self._position], []).append(rowid)
+        if type(self).key_of is LocalIndex.key_of:
+            # Same result as the method, without a Python frame per row.
+            self.key_of = itemgetter(self._position)  # type: ignore[method-assign]
+        self._entries = EntryStore()
+        rows = dict(table.scan())
+        self.on_insert_many(rows.keys(), rows.values())
 
     def __len__(self) -> int:
-        return sum(len(rowids) for rowids in self._entries.values())
+        return self._entries.total()
 
     def key_of(self, row: Row) -> object:
         return row[self._position]
 
     def on_insert(self, rowid: int, row: Row) -> None:
-        self._entries.setdefault(row[self._position], []).append(rowid)
+        self._entries.add(self.key_of(row), rowid)
+
+    def on_insert_many(self, rowids: Iterable[int], rows: Iterable[Row]) -> None:
+        """:meth:`on_insert` each ``(rowid, row)`` pair, in order."""
+        self._entries.add_many(zip(map(self.key_of, rows), rowids))
 
     def on_delete(self, rowid: int, row: Row) -> None:
-        key = row[self._position]
-        rowids = self._entries.get(key)
-        if not rowids or rowid not in rowids:
+        key = self.key_of(row)
+        try:
+            self._entries.remove(key, rowid)
+        except KeyError:
             raise IndexError_(
                 f"index on {self.table.schema.name}.{self.column} has no "
                 f"entry for rowid {rowid} under key {key!r}"
-            )
-        rowids.remove(rowid)
-        if not rowids:
-            del self._entries[key]
+            ) from None
 
     def search(self, key: object) -> List[int]:
         """Local rowids of tuples whose indexed column equals ``key``."""
@@ -98,7 +105,8 @@ class LocalIndex:
         """(key, rowids) pairs in key order — the sorted run a sort-merge
         join consumes.  Building it models the sort; callers charge the sort
         cost through the ledger."""
-        return sorted(self._entries.items(), key=lambda item: item[0])  # type: ignore[arg-type]
+        items = sorted(self._entries.items(), key=lambda item: item[0])  # type: ignore[arg-type]
+        return [(key, list(rowids)) for key, rowids in items]
 
     def matches_per_key_fit_one_page(self, key: object) -> bool:
         """Whether all matches for ``key`` co-reside on one page.
@@ -166,8 +174,10 @@ class IndexedHeap:
         """
         rows = list(rows)
         rowids = self.table.insert_many(rows)
-        for listener in (*self.indexes.values(), *self.observers):
-            on_insert = listener.on_insert
+        for index in self.indexes.values():
+            index.on_insert_many(rowids, rows)
+        for observer in self.observers:
+            on_insert = observer.on_insert
             for rowid, row in zip(rowids, rows):
                 on_insert(rowid, row)
         return rowids
