@@ -1219,15 +1219,16 @@ class Cluster:
             self.network.send(source, node.node_id, Tag.VIEW)
             fragment = node.fragment(view.name)
             self.ledger.charge(node.node_id, Op.SEARCH, Tag.VIEW)
-            for rowid, stored in fragment.table.scan():
-                if stored == row:
-                    node.delete_by_rowid(view.name, rowid, Tag.VIEW)
-                    self._record_undo(
-                        lambda f=fragment, r=rowid, t=row: f.restore(r, t),
-                        node=node.node_id, tag=Tag.VIEW, writes=1,
-                        description=f"restore {view.name} delete",
-                    )
-                    return
+            found = fragment.locate({row: 1}).get(row)
+            if found:
+                rowid = found[0]
+                node.delete_by_rowid(view.name, rowid, Tag.VIEW)
+                self._record_undo(
+                    lambda f=fragment, r=rowid, t=row: f.restore(r, t),
+                    node=node.node_id, tag=Tag.VIEW, writes=1,
+                    description=f"restore {view.name} delete",
+                )
+                return
         raise KeyError(f"view {view.name!r} holds no tuple equal to {row!r}")
 
     # ================================================================ reads

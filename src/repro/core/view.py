@@ -234,12 +234,9 @@ class BoundView:
         """
         order = self._evaluation_order()
         joined_relations = [order[0]]
+        keys = self._select_items(order[0])
         tuples: List[Dict[SelectItem, object]] = [
-            {
-                (order[0], column): value
-                for column, value in zip(self.schemas[order[0]].column_names, row)
-            }
-            for row in contents[order[0]]
+            dict(zip(keys, row)) for row in contents[order[0]]
         ]
         for partner in order[1:]:
             connecting = [
@@ -256,15 +253,11 @@ class BoundView:
                 table.setdefault(row[key_position], []).append(row)
             next_tuples: List[Dict[SelectItem, object]] = []
             left_relation, left_column = probe_condition.other(partner)
+            partner_keys = self._select_items(partner)
             for tup in tuples:
                 for row in table.get(tup[(left_relation, left_column)], ()):
                     candidate = dict(tup)
-                    candidate.update(
-                        {
-                            (partner, column): value
-                            for column, value in zip(partner_schema.column_names, row)
-                        }
-                    )
+                    candidate.update(zip(partner_keys, row))
                     if all(
                         candidate[condition.other(partner)]
                         == candidate[(partner, condition.column_of(partner))]
@@ -275,6 +268,13 @@ class BoundView:
             joined_relations.append(partner)
         return collections.Counter(
             tuple(tup[item] for item in self.select) for tup in tuples
+        )
+
+    def _select_items(self, relation: str) -> Tuple[SelectItem, ...]:
+        """``(relation, column)`` for each of the relation's columns, in
+        row order: the keys :meth:`evaluate` spreads a row under."""
+        return tuple(
+            (relation, column) for column in self.schemas[relation].column_names
         )
 
     def _evaluation_order(self) -> List[str]:

@@ -8,7 +8,7 @@ a (node, local rowid) pair identifies a tuple for its whole lifetime.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .pages import PageLayout, DEFAULT_LAYOUT
 from .schema import Row, Schema
@@ -94,20 +94,6 @@ class HeapTable:
         if rowid >= self._next_rowid:
             self._next_rowid = rowid + 1
 
-    def delete_where(self, predicate: Callable[[Row], bool]) -> List[Tuple[int, Row]]:
-        """Delete every row satisfying ``predicate``; returns (rowid, row) pairs."""
-        victims = [(rid, row) for rid, row in self._rows.items() if predicate(row)]
-        for rid, _ in victims:
-            del self._rows[rid]
-        return victims
-
-    def update(self, rowid: int, row: Row) -> Row:
-        """Replace the row under ``rowid`` in place; returns the old row."""
-        self.schema.check_row(row)
-        old = self.fetch(rowid)
-        self._rows[rowid] = row
-        return old
-
     def scan(self) -> Iterator[Tuple[int, Row]]:
         """Iterate (rowid, row) pairs in insertion order."""
         return iter(self._rows.items())
@@ -120,13 +106,3 @@ class HeapTable:
     def num_pages(self) -> int:
         """Pages occupied by this fragment (dense-packing approximation)."""
         return self.layout.pages_for_tuples(len(self._rows))
-
-    def page_of(self, rowid: int) -> int:
-        """The page a live row sits on.
-
-        For a heap we approximate dense packing by live-row rank; for
-        clustered tables the clustered index owns page placement and this is
-        only used as a fallback.
-        """
-        self.fetch(rowid)
-        return self.layout.page_of(rowid)

@@ -23,6 +23,7 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    Union,
 )
 
 from .entries import EntryStore
@@ -132,6 +133,12 @@ class IndexedHeap:
         self.indexes: Dict[str, LocalIndex] = {}
         #: Non-index :class:`RowObserver`s, notified after the indexes.
         self.observers: List[RowObserver] = []
+        #: Row -> rowid of its one stored copy, or the rowids of several
+        #: copies in heap order: how :meth:`locate` finds victims when no
+        #: index can.  Built by the first such locate, dropped when an
+        #: index is declared; ``None`` until then.  Not an index — it
+        #: carries no SEARCH charge and ``locating_index()`` ignores it.
+        self._locator: Optional[Dict[Row, Union[int, List[int]]]] = None
 
     def create_index(self, column: str, clustered: bool = False) -> LocalIndex:
         if clustered and any(ix.clustered for ix in self.indexes.values()):
@@ -142,6 +149,7 @@ class IndexedHeap:
             )
         index = LocalIndex(self.table, column, clustered=clustered)
         self.indexes[column] = index
+        self._locator = None
         return index
 
     def index_on(self, column: str) -> LocalIndex | None:
@@ -164,6 +172,8 @@ class IndexedHeap:
             index.on_insert(rowid, row)
         for observer in self.observers:
             observer.on_insert(rowid, row)
+        if self._locator is not None:
+            _locator_add(self._locator, rowid, row)
         return rowid
 
     def insert_many(self, rows) -> "list[int]":
@@ -180,6 +190,10 @@ class IndexedHeap:
             on_insert = observer.on_insert
             for rowid, row in zip(rowids, rows):
                 on_insert(rowid, row)
+        locator = self._locator
+        if locator is not None:
+            for rowid, row in zip(rowids, rows):
+                _locator_add(locator, rowid, row)
         return rowids
 
     def delete(self, rowid: int) -> Row:
@@ -188,6 +202,15 @@ class IndexedHeap:
             index.on_delete(rowid, row)
         for observer in self.observers:
             observer.on_delete(rowid, row)
+        locator = self._locator
+        if locator is not None:
+            held = locator[row]
+            if isinstance(held, list):
+                held.remove(rowid)
+                if len(held) == 1:
+                    locator[row] = held[0]
+            else:
+                del locator[row]
         return row
 
     def delete_many(self, rowids: Sequence[int]) -> None:
@@ -203,6 +226,8 @@ class IndexedHeap:
         self.table.restore(rowid, row)
         for listener in (*self.indexes.values(), *self.observers):
             listener.on_insert(rowid, row)
+        if self._locator is not None:
+            _locator_add(self._locator, rowid, row)
 
     def locate(self, wanted: Mapping[Row, int]) -> Dict[Row, List[int]]:
         """Rowids of up to ``wanted[row]`` stored copies of each row.
@@ -213,14 +238,22 @@ class IndexedHeap:
         delete of a duplicated row still removes the k-th match.  Through
         an index this reads only the entries under the wanted rows' keys
         (each key's entry list once, however many wanted rows share it);
-        without one it is a single pass over the fragment that stops as
-        soon as every wanted copy is found.  A row with fewer stored copies
+        without one it reads the row locator, built by one pass over the
+        fragment on the first such call.  A row with fewer stored copies
         than wanted maps to all of them; a row with none is absent.
         """
         located: Dict[Row, List[int]] = {}
         index = self.locating_index()
         if index is None:
-            _take(self.table.scan(), wanted, located)
+            locator = self._locator
+            if locator is None:
+                locator = self._locator = {}
+                for rowid, row in self.table.scan():
+                    _locator_add(locator, rowid, row)
+            for row, count in wanted.items():
+                held = locator.get(row)
+                if held is not None:
+                    located[row] = held[:count] if isinstance(held, list) else [held]
             return located
         by_key: Dict[object, Dict[Row, int]] = {}
         for row, count in wanted.items():
@@ -240,6 +273,18 @@ class IndexedHeap:
             )
         self.delete(found[0])
         return found[0]
+
+
+def _locator_add(
+    locator: Dict[Row, Union[int, List[int]]], rowid: int, row: Row
+) -> None:
+    """Enter ``rowid`` at the tail of ``row``'s copies: a lone copy is a
+    bare int, a second one turns it into a list."""
+    held = locator.setdefault(row, rowid)
+    if isinstance(held, list):
+        held.append(rowid)
+    elif held != rowid:
+        locator[row] = [held, rowid]
 
 
 def _take(

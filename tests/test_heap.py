@@ -42,20 +42,6 @@ def test_delete_returns_row(table):
         table.delete(rid)
 
 
-def test_delete_where(table):
-    table.insert_many([(1, "a"), (2, "b"), (3, "a")])
-    victims = table.delete_where(lambda row: row[1] == "a")
-    assert [row for _, row in victims] == [(1, "a"), (3, "a")]
-    assert table.rows() == [(2, "b")]
-
-
-def test_update(table):
-    rid = table.insert((1, "a"))
-    old = table.update(rid, (1, "b"))
-    assert old == (1, "a")
-    assert table.fetch(rid) == (1, "b")
-
-
 def test_arity_checked(table):
     with pytest.raises(SchemaError):
         table.insert((1, 2, 3))
@@ -71,13 +57,6 @@ def test_num_pages():
     assert table.num_pages == 0
     table.insert_many([(i,) for i in range(11)])
     assert table.num_pages == 2
-
-
-def test_page_of():
-    table = HeapTable(Schema.of("T", "k"), PageLayout(tuples_per_page=2))
-    rids = table.insert_many([(i,) for i in range(4)])
-    assert table.page_of(rids[0]) == 0
-    assert table.page_of(rids[3]) == 1
 
 
 def test_iter_yields_rows(table):

@@ -109,3 +109,19 @@ def test_delete_matching(heap):
     assert heap.delete_matching((1, "b")) == rid
     with pytest.raises(IndexError_):
         heap.delete_matching((9, "q"))
+
+
+def test_row_locator_is_not_an_index(heap):
+    rowids = heap.insert_many([(1, "a"), (1, "a"), (2, "b")])
+    assert heap._locator is None  # nothing attached until a locate asks
+    assert heap.locate({(1, "a"): 5, (9, "z"): 1}) == {(1, "a"): rowids[:2]}
+    assert heap.locating_index() is None
+    heap.delete(rowids[0])
+    heap.restore(rowids[0], (1, "a"))  # back at the tail of the heap
+    assert heap.locate({(1, "a"): 2}) == {(1, "a"): [rowids[1], rowids[0]]}
+    heap.delete(rowids[1])
+    # A lone copy is held as a bare rowid, not a one-element list.
+    assert heap._locator == {(1, "a"): rowids[0], (2, "b"): rowids[2]}
+    heap.create_index("k")
+    assert heap._locator is None  # the index locates from here on
+    assert heap.locate({(1, "a"): 1}) == {(1, "a"): [rowids[0]]}

@@ -213,25 +213,48 @@ def reference_locate(fragment, deletes):
 @pytest.mark.parametrize("indexed", [False, True], ids=["heap", "indexed"])
 @pytest.mark.parametrize("seed", range(8))
 def test_locate_picks_the_rowids_sequential_deletes_would(indexed, seed):
+    """Two fragments take the same writes.  Indexed, both locate through
+    the index; bare, ``early`` attaches its row locator before the churn
+    (so every mutation entry point must keep it in heap order) and
+    ``late`` builds it after."""
     rng = random.Random(seed)
-    fragment = IndexedHeap(HeapTable(Schema.of("T", "k", "v")))
+    early, late = fragments = [
+        IndexedHeap(HeapTable(Schema.of("T", "k", "v"))) for _ in range(2)
+    ]
+
+    def apply(operation, *args):
+        results = [getattr(fragment, operation)(*args) for fragment in fragments]
+        assert results[0] == results[1]
+        return results[0]
+
     if indexed:
-        fragment.create_index("k")
+        for fragment in fragments:
+            fragment.create_index("k")
     for _ in range(60):
-        fragment.insert((rng.randrange(4), rng.randrange(3)))
+        apply("insert", (rng.randrange(4), rng.randrange(3)))
+    if not indexed:
+        early.locate({})
+        assert early.locating_index() is None
     # Rollback-style churn: restored rows re-enter at the *end* of the heap
     # and of their index entry, so rowid order and search order differ.
     for rowid in rng.sample(range(60), 20):
-        fragment.restore(rowid, fragment.delete(rowid))
-    stored = fragment.table.rows()
+        apply("restore", rowid, apply("delete", rowid))
+    # Duplicates of stored rows in bulk, then a bulk insert undone.
+    apply("insert_many", rng.sample(early.table.rows(), 15))
+    undone = apply("insert_many", [(rng.randrange(4), 0) for _ in range(10)])
+    apply("delete_many", undone)
+    for rowid in rng.sample(sorted(dict(early.table.scan())), 10):
+        apply("restore", rowid, apply("delete", rowid))
+    stored = early.table.rows()
     deletes = rng.sample(stored, 25) + [(9, 9), (9, 9)]
     rng.shuffle(deletes)
-    expected = reference_locate(fragment, deletes)
-    located = fragment.locate(Counter(deletes))
-    supply = {row: list(rowids) for row, rowids in located.items()}
-    got = [supply[row].pop(0) if supply.get(row) else None for row in deletes]
-    assert got == expected
-    assert located.get((9, 9), []) == []
+    for fragment in fragments:
+        expected = reference_locate(fragment, deletes)
+        located = fragment.locate(Counter(deletes))
+        supply = {row: list(rowids) for row, rowids in located.items()}
+        got = [supply[row].pop(0) if supply.get(row) else None for row in deletes]
+        assert got == expected
+        assert located.get((9, 9), []) == []
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -443,10 +466,62 @@ def test_unindexed_fragment_delete_scans_each_home_fragment_once(method, size, s
     with pytest.raises(KeyError):
         cluster.delete("A", victims)
     homes = {cluster.catalog.relation("A").partitioner.node_of_row(r) for r in victims}
-    assert set(scans) == {"A"} and scans["A"] <= len(homes)
+    # The first locate on a bare fragment attaches its row locator: one pass.
+    assert set(scans) <= {"A"} and scans["A"] <= len(homes), dict(scans)
     scans.clear()
     cluster.delete("A", rows[:size])
-    assert set(scans) == {"A"} and scans["A"] <= len(homes)
+    assert not scans, dict(scans)
+
+
+class CountedRow(tuple):
+    """A row that counts the ``==`` comparisons it takes part in."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        CountedRow.comparisons += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+def _warm_delete_work(method, size, monkeypatch):
+    """Heap walks, fetches and row comparisons of a warmed-up 8-row
+    delete from A holding ``size`` rows (at most four per A.c key)."""
+    cluster = build(method)
+    rows = [CountedRow((i, i // 4, f"e{i}")) for i in range(size)]
+    cluster.insert("A", rows)
+    cluster.delete("A", [CountedRow(row) for row in rows[8:16]])  # warm-up
+    work = Counter()
+
+    def counted(name):
+        original = getattr(HeapTable, name)
+
+        def wrapper(self, *args):
+            work[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(HeapTable, name, wrapper)
+
+    for name in ("fetch", "scan", "__iter__", "rows"):
+        counted(name)
+    CountedRow.comparisons = 0
+    cluster.delete("A", [CountedRow(row) for row in rows[:8]])
+    work["row __eq__"] = CountedRow.comparisons
+    monkeypatch.undo()
+    assert ConsistencyAuditor(cluster).audit().ok
+    return work
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_warm_delete_work_does_not_grow_with_the_relation(method, monkeypatch):
+    """ROADMAP item 4's count test: the same 8-row delete walks no heap
+    and does equal fetches and row comparisons at |A| = 2k and 20k."""
+    small = _warm_delete_work(method, 2_000, monkeypatch)
+    large = _warm_delete_work(method, 20_000, monkeypatch)
+    assert small == large
+    assert not any(small[walker] for walker in ("scan", "__iter__", "rows"))
+    assert small["fetch"] > 0 and small["row __eq__"] > 0  # counters bite
 
 
 # ========================================================= bounded caches
