@@ -1,7 +1,7 @@
 """Cost accounting in the paper's units (SEND/SEARCH/FETCH/INSERT)."""
 
 from .model import CostParameters, NETWORK_AWARE_COSTS, Op, PAPER_COSTS, Tag
-from .ledger import CostLedger, CostSnapshot
+from .ledger import CostLedger, CostSnapshot, CostWindow
 from .report import ascii_table, format_snapshot, tags_legend
 
 __all__ = [
@@ -12,6 +12,7 @@ __all__ = [
     "NETWORK_AWARE_COSTS",
     "CostLedger",
     "CostSnapshot",
+    "CostWindow",
     "ascii_table",
     "format_snapshot",
     "tags_legend",

@@ -143,12 +143,11 @@ class CostLedger:
 
     def diff_since(self, before: CostSnapshot) -> CostSnapshot:
         """The work charged since ``before`` was taken."""
-        cells: Dict[_Cell, float] = {}
-        for cell, count in self._cells.items():
-            delta = count - before.cells.get(cell, 0.0)
-            if delta > 1e-12:
-                cells[cell] = delta
-        return CostSnapshot(self.params, cells)
+        return CostSnapshot(self.params, _cells_since(self._cells, before.cells))
+
+    def window(self) -> "CostWindow":
+        """Open a :class:`CostWindow` on this ledger; close it after the work."""
+        return CostWindow(self)
 
     @contextmanager
     def measure(self) -> Iterator["_Measurement"]:
@@ -175,6 +174,50 @@ class _Measurement:
 
     def __init__(self) -> None:
         self.snapshot = CostSnapshot(PAPER_COSTS, {})
+
+
+class CostWindow:
+    """The work charged between :meth:`CostLedger.window` and :meth:`close`,
+    subtracted only when :attr:`snapshot` is first read.
+
+    Each end is a plain copy of the ledger's cells; the per-cell diff — the
+    costly part of :meth:`CostLedger.measure` — is skipped entirely when no
+    caller asks what the work cost.  Charges made after :meth:`close` are
+    never included.
+    """
+
+    __slots__ = ("_ledger", "_before", "_after", "_snapshot")
+
+    def __init__(self, ledger: CostLedger) -> None:
+        self._ledger = ledger
+        self._before: Dict[_Cell, float] = dict(ledger._cells)
+        self._after: Dict[_Cell, float] = {}
+        self._snapshot: Optional[CostSnapshot] = None
+
+    def close(self) -> None:
+        """Copy the ledger's cells as they stand now: the window's far end."""
+        self._after = dict(self._ledger._cells)
+
+    @property
+    def snapshot(self) -> CostSnapshot:
+        if self._snapshot is None:
+            self._snapshot = CostSnapshot(
+                self._ledger.params, _cells_since(self._after, self._before)
+            )
+            self._before = self._after = {}
+        return self._snapshot
+
+
+def _cells_since(
+    after: Dict[_Cell, float], before: Dict[_Cell, float]
+) -> Dict[_Cell, float]:
+    """The cells that grew from ``before`` to ``after``, by how much."""
+    cells: Dict[_Cell, float] = {}
+    for cell, count in after.items():
+        delta = count - before.get(cell, 0.0)
+        if delta > 1e-12:
+            cells[cell] = delta
+    return cells
 
 
 def format_cell_diff(diff: Dict[_Cell, float], limit: int = 40) -> str:

@@ -12,16 +12,21 @@ introduction describes:
 
 ``answer`` prices the alternatives and runs the cheapest — making the
 speed-up that justifies paying for view maintenance directly measurable.
-All query work is charged under :data:`~repro.costs.Tag.QUERY`.
+What it learns about a query's shape (matching views, positions, resolved
+operators, pinning filters) is compiled once per catalog version; each
+call binds only the filter values.  All query work is charged under
+:data:`~repro.costs.Tag.QUERY`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..costs import CostSnapshot, Op, Tag
+from ..cluster.catalog import ViewInfo
+from ..costs import CostSnapshot, CostWindow, Tag
 from ..storage.schema import Row
 from .matching import ViewMatch, find_matches
 from .query import Query
@@ -37,7 +42,13 @@ class QueryResult:
 
     rows: List[Row]
     plan: str
-    snapshot: CostSnapshot
+    #: ledger cells copied around the read; diffed on first ``snapshot``
+    window: CostWindow = field(repr=False)
+
+    @property
+    def snapshot(self) -> CostSnapshot:
+        """The work the read charged — nothing charged after it returned."""
+        return self.window.snapshot
 
     @property
     def cost_ios(self) -> float:
@@ -48,92 +59,213 @@ class QueryResult:
         return self.snapshot.response_time([Tag.QUERY])
 
 
+@dataclass(frozen=True)
+class _ViewOption:
+    """One view that answers a query shape, compiled for it."""
+
+    view: ViewInfo
+    select_positions: Tuple[int, ...]
+    #: (view-row position, resolved operator, index in ``query.filters``)
+    checks: Tuple[Tuple[int, Callable[[object, object], bool], int], ...]
+    #: index in ``query.filters`` of the filter pinning the view's
+    #: partition column, if any
+    pin: Optional[int]
+
+
+@dataclass(frozen=True)
+class _ReadPlan:
+    """What :meth:`QueryEngine.answer` knows about a query shape between
+    two catalog changes: the filter values are all it still has to bind."""
+
+    views: Tuple[_ViewOption, ...]
+    #: each query relation, and whether an equality filter pins its
+    #: partition column (the base join then reads one node of it)
+    relations: Tuple[Tuple[str, bool], ...]
+
+
 class QueryEngine:
     """Answers queries against one cluster."""
 
     def __init__(self, cluster) -> None:
         self.cluster = cluster
+        #: query shape -> read plan, all compiled at catalog ``_version``
+        self._plans: Dict[Tuple, _ReadPlan] = {}
+        self._version = -1
 
     # ------------------------------------------------------------- public
 
     def answer(self, query: Query) -> QueryResult:
         """Run ``query`` the cheapest known way (view probe, view scan, or
-        base join)."""
-        options: List[Tuple[float, str]] = [
-            (self._estimate_base_join(query), "base")
-        ]
-        matches = find_matches(query, self.cluster)
-        for match in matches:
-            options.append(
-                (self._estimate_view(match), f"view:{match.view.name}")
-            )
-        _, choice = min(options, key=lambda pair: pair[0])
-        if choice == "base":
+        base join).
+
+        Ties go to the base join, and among views to the first cheapest
+        in catalog order.  Views are priced first so the base estimate
+        can stop adding pages once it exceeds the best view.
+        """
+        plan = self._plan_for(query)
+        if not plan.views:
             return self.answer_from_base(query)
-        view_name = choice.split(":", 1)[1]
-        match = next(m for m in matches if m.view.name == view_name)
-        return self.answer_from_view(query, match)
+        values = [item.value for item in query.filters]
+        best = best_key = None
+        best_cost = math.inf
+        for option in plan.views:
+            key = None if option.pin is None else values[option.pin]
+            if key is not None:
+                cost = 2.0  # one SEARCH + a page of matches
+            else:
+                cost = float(max(1, self.cluster.relation_pages(option.view.name)))
+            if cost < best_cost:
+                best, best_cost, best_key = option, cost, key
+        if self._base_costs_at_most(plan, best_cost):
+            return self.answer_from_base(query)
+        checks = tuple(
+            (position, compare, values[index])
+            for position, compare, index in best.checks
+        )
+        return self._read_view(best.view, best.select_positions, checks, best_key)
 
     def answer_from_base(self, query: Query) -> QueryResult:
         """Parallel repartition hash join over the base relations."""
         obs = self.cluster.obs
         with obs.span("query", plan="base_join") as root:
-            with self.cluster.ledger.measure() as measured:
-                with obs.span("base_join", relations=len(query.relations)):
-                    env_rows = self._join_base(query)
-                rows = self._project(query, env_rows)
+            window = self.cluster.ledger.window()
+            with obs.span("base_join", relations=len(query.relations)):
+                env_rows = self._join_base(query)
+            rows = self._project(query, env_rows)
+            window.close()
             root.tag(rows=len(rows))
         if obs.enabled:
             obs.observe_span_latency(root, kind="query", plan="base_join")
-        return QueryResult(rows=rows, plan="base join", snapshot=measured.snapshot)
+        return QueryResult(rows=rows, plan="base join", window=window)
 
     def answer_from_view(self, query: Query, match: ViewMatch) -> QueryResult:
         """Scan or probe a materialized view."""
-        obs = self.cluster.obs
-        physical = "view_probe" if match.partition_key is not None else "view_scan"
-        with obs.span("query", plan=physical, view=match.view.name) as root:
-            with self.cluster.ledger.measure() as measured:
-                with obs.span(physical, view=match.view.name):
-                    if match.partition_key is not None:
-                        raw = self._probe_view(match)
-                        plan = f"view probe ({match.view.name})"
-                    else:
-                        raw = self._scan_view(match)
-                        plan = f"view scan ({match.view.name})"
-                filters = match.filter_positions
-                if filters:
-                    raw = [
-                        row for row in raw
-                        if all(flt.matches(row[position]) for position, flt in filters)
-                    ]
-                # One compiled projection per match, not one generator per
-                # row; a single-column select still yields 1-tuples.
-                positions = match.select_positions
-                if len(positions) == 1:
-                    only = positions[0]
-                    rows = [(row[only],) for row in raw]
-                else:
-                    rows = list(map(itemgetter(*positions), raw))
-            root.tag(rows=len(rows))
-        if obs.enabled:
-            obs.observe_span_latency(root, kind="query", plan=physical)
-        return QueryResult(rows=rows, plan=plan, snapshot=measured.snapshot)
+        checks = tuple(
+            (position, flt.comparison.evaluate, flt.value)
+            for position, flt in match.filter_positions
+        )
+        return self._read_view(
+            match.view, match.select_positions, checks, match.partition_key
+        )
+
+    # ------------------------------------------------------- read plans
+
+    def _plan_for(self, query: Query) -> _ReadPlan:
+        version = self.cluster.catalog.version
+        if version != self._version:
+            self._plans.clear()  # every cached plan predates a catalog change
+            self._version = version
+        shape = (
+            query.relations,
+            query.select,
+            query.conditions,
+            tuple((item.relation, item.column, item.comparison)
+                  for item in query.filters),
+        )
+        plan = self._plans.get(shape)
+        if plan is None:
+            plan = self._plans[shape] = self._compile(query)
+        return plan
+
+    def _compile(self, query: Query) -> _ReadPlan:
+        """Match the views and resolve the filters of ``query``'s shape.
+
+        Only shape-level facts go in: which views match, positions, the
+        operators, and which filter pins what.  Node, partitioner and page
+        facts change without a catalog change (membership, writes) and are
+        read on every call.
+        """
+        views = tuple(
+            _ViewOption(
+                view=match.view,
+                select_positions=match.select_positions,
+                # match_view keeps one entry per query filter, in order.
+                checks=tuple(
+                    (position, flt.comparison.evaluate, index)
+                    for index, (position, flt) in enumerate(match.filter_positions)
+                ),
+                pin=match.partition_filter,
+            )
+            for match in find_matches(query, self.cluster)
+        )
+        catalog = self.cluster.catalog
+        relations = []
+        for relation in query.relations:
+            column = catalog.relation(relation).partition_column
+            pinned = bool(column) and query.equality_filter_on(relation, column) is not None
+            relations.append((relation, pinned))
+        return _ReadPlan(views=views, relations=tuple(relations))
+
+    def _base_costs_at_most(self, plan: _ReadPlan, limit: float) -> bool:
+        """Whether the base join's estimate — pages touched: every relation
+        read in full unless an equality filter pins its partition column,
+        which costs one probe at one node — is at most ``limit``.
+
+        Pages are added fragment by fragment, stopping once over ``limit``.
+        """
+        total = 0.0
+        nodes = self.cluster.nodes
+        for relation, pinned in plan.relations:
+            counts = (1.0,) if pinned else (
+                node.fragment_pages(relation)
+                for node in nodes if node.has_fragment(relation)
+            )
+            for count in counts:
+                total += count
+                if total > limit:
+                    return False
+        return True
 
     # ------------------------------------------------------ view execution
 
-    def _probe_view(self, match: ViewMatch) -> List[Row]:
-        view = match.view
-        column = view.partitioner.column
-        node_id = view.partitioner.node_of_key(match.partition_key)
-        return self.cluster.nodes[node_id].index_probe(
-            view.name, column, match.partition_key, Tag.QUERY
-        )
-
-    def _scan_view(self, match: ViewMatch) -> List[Row]:
-        rows: List[Row] = []
-        for node in self.cluster.nodes:
-            rows.extend(node.scan(match.view.name, Tag.QUERY))
-        return rows
+    def _read_view(
+        self,
+        view: ViewInfo,
+        positions: Tuple[int, ...],
+        checks: Tuple[Tuple[int, Callable[[object, object], bool], object], ...],
+        key: Optional[object],
+    ) -> QueryResult:
+        """Probe the view's one partition for ``key``, or scan it all when
+        no key pins it; keep rows passing every ``(position, compare,
+        value)`` check and project ``positions``."""
+        cluster = self.cluster
+        obs = cluster.obs
+        name = view.name
+        physical = "view_probe" if key is not None else "view_scan"
+        with obs.span("query", plan=physical, view=name) as root:
+            window = cluster.ledger.window()
+            with obs.span(physical, view=name):
+                if key is not None:
+                    partitioner = view.partitioner
+                    node = cluster.nodes[partitioner.node_of_key(key)]
+                    raw = node.index_probe(name, partitioner.column, key, Tag.QUERY)
+                    plan = f"view probe ({name})"
+                else:
+                    raw = []
+                    for node in cluster.nodes:
+                        raw.extend(node.scan(name, Tag.QUERY))
+                    plan = f"view scan ({name})"
+            if len(checks) == 1:
+                ((position, compare, value),) = checks
+                raw = [row for row in raw if compare(row[position], value)]
+            elif checks:
+                raw = [
+                    row for row in raw
+                    if all(compare(row[position], value)
+                           for position, compare, value in checks)
+                ]
+            # One compiled projection per read, not one generator per
+            # row; a single-column select still yields 1-tuples.
+            if len(positions) == 1:
+                only = positions[0]
+                rows = [(row[only],) for row in raw]
+            else:
+                rows = list(map(itemgetter(*positions), raw))
+            window.close()
+            root.tag(rows=len(rows))
+        if obs.enabled:
+            obs.observe_span_latency(root, kind="query", plan=physical)
+        return QueryResult(rows=rows, plan=plan, window=window)
 
     # ------------------------------------------------------ base execution
 
@@ -267,28 +399,3 @@ class QueryEngine:
     @staticmethod
     def _project(query: Query, envs: List[_Env]) -> List[Row]:
         return [tuple(env[item] for item in query.select) for env in envs]
-
-    # ------------------------------------------------------------ pricing
-
-    def _estimate_base_join(self, query: Query) -> float:
-        """Pages touched: every participating relation is read in full
-        unless an equality filter pins its partition column."""
-        total = 0.0
-        for relation in query.relations:
-            info = self.cluster.catalog.relation(relation)
-            pages = self.cluster.relation_pages(relation)
-            pinned = (
-                query.equality_filter_on(relation, info.partition_column)
-                if info.partition_column
-                else None
-            )
-            if pinned is not None:
-                total += 1.0  # one probe/partial scan at one node
-            else:
-                total += pages
-        return total
-
-    def _estimate_view(self, match: ViewMatch) -> float:
-        if match.partition_key is not None:
-            return 2.0  # one SEARCH + a page of matches
-        return float(max(1, self.cluster.relation_pages(match.view.name)))

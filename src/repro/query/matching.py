@@ -4,7 +4,8 @@ A view answers a query when it joins exactly the same relations on the
 same equi-join graph, projects every column the query selects, and keeps
 every column the query filters on.  (Classic view-matching is far more
 general; this covers the paper's setting, where views are defined for the
-queries they serve.)
+queries they serve.)  Aggregate views never match: they store one row per
+group, not the join rows a query asks for.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..cluster.catalog import ViewInfo
+from ..core.aggregates import AggregateViewMaintainer
 from ..core.view import BoundView, JoinCondition, JoinViewDefinition
 from .query import Query
 
@@ -35,10 +37,14 @@ class ViewMatch:
     filter_positions: Tuple[Tuple[int, object], ...]
     #: the view's partition column equality value, when the query pins it
     partition_key: Optional[object]
+    #: index in ``query.filters`` of the filter that pins it, if one does
+    partition_filter: Optional[int] = None
 
 
 def match_view(query: Query, view: ViewInfo, bound: BoundView) -> Optional[ViewMatch]:
     """A :class:`ViewMatch` if ``view`` answers ``query``, else None."""
+    if _is_aggregate(view):
+        return None
     definition: JoinViewDefinition = bound.definition
     if set(definition.relations) != set(query.relations):
         return None
@@ -58,19 +64,29 @@ def match_view(query: Query, view: ViewInfo, bound: BoundView) -> Optional[ViewM
         if key not in available:
             return None
         filter_positions.append((available[key], item))
-    partition_key = None
+    partition_key = partition_filter = None
     partition_column = getattr(view.partitioner, "column", None)
     if partition_column is not None:
         source = bound.source_of_output(partition_column)
         pinned = query.equality_filter_on(*source)
         if pinned is not None:
             partition_key = pinned.value
+            partition_filter = next(
+                index for index, item in enumerate(query.filters) if item is pinned
+            )
     return ViewMatch(
         view=view,
         select_positions=tuple(select_positions),
         filter_positions=tuple(filter_positions),
         partition_key=partition_key,
+        partition_filter=partition_filter,
     )
+
+
+def _is_aggregate(view: ViewInfo) -> bool:
+    """Whether ``view`` stores group rows, deferred-wrapped or not."""
+    maintainer = getattr(view.maintainer, "inner", view.maintainer)
+    return isinstance(maintainer, AggregateViewMaintainer)
 
 
 def find_matches(query: Query, cluster) -> List[ViewMatch]:

@@ -28,14 +28,17 @@ class Comparison(enum.Enum):
 
     @property
     def evaluate(self) -> Callable[[object, object], bool]:
-        return {
-            Comparison.EQ: operator.eq,
-            Comparison.NE: operator.ne,
-            Comparison.LT: operator.lt,
-            Comparison.LE: operator.le,
-            Comparison.GT: operator.gt,
-            Comparison.GE: operator.ge,
-        }[self]
+        return _OPERATORS[self]
+
+
+_OPERATORS: Dict[Comparison, Callable[[object, object], bool]] = {
+    Comparison.EQ: operator.eq,
+    Comparison.NE: operator.ne,
+    Comparison.LT: operator.lt,
+    Comparison.LE: operator.le,
+    Comparison.GT: operator.gt,
+    Comparison.GE: operator.ge,
+}
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,6 @@ class PageLayout:
             raise ValueError("num_tuples must be >= 0")
         return -(-num_tuples // self.tuples_per_page)
 
-    def page_of(self, slot: int) -> int:
-        """The page a given heap slot lives on (dense packing)."""
-        if slot < 0:
-            raise ValueError("slot must be >= 0")
-        return slot // self.tuples_per_page
-
     def sort_cost_pages(self, fragment_pages: int) -> float:
         """I/O cost of sorting a ``fragment_pages``-page fragment.
 

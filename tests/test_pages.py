@@ -20,18 +20,6 @@ def test_pages_for_tuples_negative_rejected():
         PageLayout().pages_for_tuples(-1)
 
 
-def test_page_of():
-    layout = PageLayout(tuples_per_page=10)
-    assert layout.page_of(0) == 0
-    assert layout.page_of(9) == 0
-    assert layout.page_of(10) == 1
-
-
-def test_page_of_negative_rejected():
-    with pytest.raises(ValueError):
-        PageLayout().page_of(-1)
-
-
 def test_invalid_layout_rejected():
     with pytest.raises(ValueError):
         PageLayout(tuples_per_page=0)

@@ -5,9 +5,18 @@ from collections import Counter
 import pytest
 
 from repro import Cluster, HashPartitioning, Schema, two_way_view
+from repro.cluster.node import Node
+from repro.core import (
+    Aggregate,
+    AggregateFunction,
+    AggregateSpec,
+    defer_view,
+    define_aggregate_join_view,
+)
 from repro.core.view import JoinCondition, ViewDefinitionError
 from repro.costs import Op, Tag
 from repro.query import Comparison, Filter, Query, QueryEngine, find_matches
+from repro.query import matching
 
 A = Schema.of("A", "a", "c", "e")
 B = Schema.of("B", "b", "d", "f")
@@ -265,3 +274,301 @@ def test_three_way_query_with_view(ab_cluster):
     auto = engine.answer(query)
     assert Counter(auto.rows) == Counter(base.rows)
     assert auto.plan.startswith("view")
+
+
+# ------------------------------------------------------ aggregate views
+
+
+@pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
+def test_aggregate_views_never_answer_join_queries(ab_cluster, deferred):
+    """Regression: an aggregate view in the catalog made matching raise
+    ``ViewDefinitionError`` (it has no output column ``_group``); its rows
+    are groups, not the join rows a query asks for, so it must not match."""
+    define_aggregate_join_view(
+        ab_cluster,
+        two_way_view("AGG", "A", "c", "B", "d"),
+        AggregateSpec(
+            group_by=(("A", "e"),),
+            aggregates=(Aggregate(AggregateFunction.COUNT, "n"),),
+        ),
+    )
+    if deferred:
+        defer_view(ab_cluster, "AGG")
+    ab_cluster.insert("A", [(i, i % 5, i % 3) for i in range(8)])
+    query = Query(
+        relations=("A", "B"),
+        select=(("A", "e"),),
+        conditions=(JoinCondition("A", "c", "B", "d"),),
+    )
+    truth = Counter(
+        (a_row[2],)
+        for a_row in ab_cluster.scan_relation("A")
+        for b_row in ab_cluster.scan_relation("B")
+        if a_row[1] == b_row[1]
+    )
+    assert find_matches(query, ab_cluster) == []
+    engine = QueryEngine(ab_cluster)
+    result = engine.answer(query)
+    assert result.plan == "base join"
+    assert Counter(result.rows) == truth
+    ab_cluster.create_join_view(
+        two_way_view("JV", "A", "c", "B", "d", select=[("A", "e")]),
+        method="naive",
+    )
+    result = engine.answer(query)
+    assert result.plan == "view scan (JV)"
+    assert Counter(result.rows) == truth
+
+
+# ------------------------------------------------------------ plan choice
+
+
+def _tiny_cluster(b_rows):
+    """A and B with one A row, ``b_rows`` B rows and a view partitioned on
+    ``A.e``: relations small enough for the base estimate to tie 2.0."""
+    cluster = Cluster(num_nodes=4)
+    cluster.create_relation(A, partitioned_on="a")
+    cluster.create_relation(B, partitioned_on="b")
+    cluster.insert("B", [(i, 0, f"f{i}") for i in range(b_rows)])
+    cluster.create_join_view(
+        two_way_view("JV", "A", "c", "B", "d", partitioning=HashPartitioning("e")),
+        method="naive",
+    )
+    cluster.insert("A", [(0, 0, 7)])
+    return cluster
+
+
+def _fanout_cluster(*views):
+    """A(40 rows) ⋈ B(400 rows), ten join keys: the join (1,600 rows) has
+    more pages than both bases, in views partitioned as ``views`` say."""
+    cluster = Cluster(num_nodes=4)
+    cluster.create_relation(A, partitioned_on="a")
+    cluster.create_relation(B, partitioned_on="b")
+    cluster.insert("B", [(i, i % 10, f"f{i}") for i in range(400)])
+    for name, column in views:
+        cluster.create_join_view(
+            two_way_view(name, "A", "c", "B", "d",
+                         partitioning=HashPartitioning(column)),
+            method="auxiliary",
+        )
+    cluster.insert("A", [(i, i % 10, i % 8) for i in range(40)])
+    return cluster
+
+
+def _narrow_view_cluster():
+    """Few join rows (one B match per A row) over a large B: scanning the
+    view beats the base join."""
+    cluster = Cluster(num_nodes=4)
+    cluster.create_relation(A, partitioned_on="a")
+    cluster.create_relation(B, partitioned_on="b")
+    cluster.insert("B", [(i, i, f"f{i}") for i in range(2000)])
+    cluster.create_join_view(
+        two_way_view("JV", "A", "c", "B", "d", partitioning=HashPartitioning("e")),
+        method="naive",
+    )
+    cluster.insert("A", [(i, i, i % 8) for i in range(40)])
+    return cluster
+
+
+def _pinned_read(value):
+    return Query(
+        relations=("A", "B"),
+        select=(("A", "e"), ("B", "f")),
+        conditions=(JoinCondition("A", "c", "B", "d"),),
+        filters=(Filter("A", "e", Comparison.EQ, value),),
+    )
+
+
+UNPINNED_READ = Query(
+    relations=("A", "B"),
+    select=(("A", "e"), ("B", "f")),
+    conditions=(JoinCondition("A", "c", "B", "d"),),
+    filters=(Filter("B", "f", Comparison.NE, "f3"),),
+)
+
+
+def _create_view(cluster):
+    cluster.create_join_view(
+        two_way_view("JV", "A", "c", "B", "d", partitioning=HashPartitioning("e")),
+        method="auxiliary",
+    )
+
+
+#: case -> (cluster builder, [(change before the read, query, plan)]); each
+#: listed plan is also re-derived from the pricing rule by the test.
+PLAN_CASES = {
+    "tie_goes_to_base": (lambda: _tiny_cluster(1), [
+        (None, _pinned_read(7), "base join"),
+    ]),
+    "probe_beats_three_pages": (lambda: _tiny_cluster(2), [
+        (None, _pinned_read(7), "view probe (JV)"),
+    ]),
+    "base_beats_a_larger_view_scan": (lambda: _fanout_cluster(("JV", "e")), [
+        (None, UNPINNED_READ, "base join"),
+    ]),
+    "view_scan_beats_base": (_narrow_view_cluster, [
+        (None, UNPINNED_READ, "view scan (JV)"),
+    ]),
+    "cheaper_of_two_views": (
+        lambda: _fanout_cluster(("BYA", "a"), ("BYE", "e")), [
+            (None, _pinned_read(3), "view probe (BYE)"),
+            (None, UNPINNED_READ, "base join"),
+        ]),
+    "first_of_two_equal_views": (
+        lambda: _fanout_cluster(("V1", "e"), ("V2", "e")), [
+            (None, _pinned_read(3), "view probe (V1)"),
+        ]),
+    "create_then_drop_view": (lambda: _fanout_cluster(), [
+        (None, _pinned_read(3), "base join"),
+        (_create_view, _pinned_read(3), "view probe (JV)"),
+        (lambda cluster: cluster.drop_view("JV"), _pinned_read(5), "base join"),
+    ]),
+    "add_node_between_reads": (lambda: _fanout_cluster(("JV", "e")), [
+        (None, _pinned_read(6), "view probe (JV)"),
+        (lambda cluster: cluster.add_node(), _pinned_read(6), "view probe (JV)"),
+        (None, _pinned_read(2), "view probe (JV)"),
+    ]),
+}
+
+
+def _priced_plan(cluster, query):
+    """The plan ``answer`` must pick: the first minimum of the base join's
+    page estimate followed by each matching view's estimate."""
+    def pinned(relation):
+        column = cluster.catalog.relation(relation).partition_column
+        return bool(column) and query.equality_filter_on(relation, column) is not None
+
+    base = sum(
+        1.0 if pinned(relation) else cluster.relation_pages(relation)
+        for relation in query.relations
+    )
+    options = [(base, "base join")]
+    for match in find_matches(query, cluster):
+        name = match.view.name
+        if match.partition_key is not None:
+            options.append((2.0, f"view probe ({name})"))
+        else:
+            pages = float(max(1, cluster.relation_pages(name)))
+            options.append((pages, f"view scan ({name})"))
+    return min(options, key=lambda option: option[0])[1]
+
+
+def _query_cells(snapshot):
+    return {
+        (node, op): count
+        for (node, op, tag), count in snapshot.cells.items()
+        if tag is Tag.QUERY
+    }
+
+
+def _plan_cells(cluster, query, plan):
+    """The QUERY cells ``plan`` charges: a probe is one SEARCH plus one
+    FETCH per stored match at the key's node; a scan reads every page."""
+    if plan == "base join":
+        return _query_cells(QueryEngine(cluster).answer_from_base(query).snapshot)
+    name = plan[plan.index("(") + 1:-1]
+    view = cluster.catalog.view(name)
+    if plan.startswith("view scan"):
+        return {
+            (node.node_id, Op.SCAN_PAGE): node.fragment_pages(name)
+            for node in cluster.nodes
+            if node.has_fragment(name) and node.fragment_pages(name)
+        }
+    (match,) = [m for m in find_matches(query, cluster) if m.view is view]
+    column = view.partitioner.column
+    node = cluster.nodes[view.partitioner.node_of_key(match.partition_key)]
+    position = view.schema.index_of(column)
+    hits = sum(1 for row in node.scan(name) if row[position] == match.partition_key)
+    cells = {(node.node_id, Op.SEARCH): 1.0}
+    if hits and not node.fragment(name).index_on(column).clustered:
+        cells[(node.node_id, Op.FETCH)] = float(hits)
+    return cells
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_plan_choice_follows_the_pricing_rule(case):
+    """One engine across every read of a case, so cached read plans meet
+    DDL and membership changes; plan, rows and QUERY cells must be what
+    the pricing rule and the chosen access path give."""
+    build, reads = PLAN_CASES[case]
+    cluster = build()
+    engine = QueryEngine(cluster)
+    for change, query, plan in reads:
+        if change is not None:
+            change(cluster)
+        assert _priced_plan(cluster, query) == plan
+        expected_cells = _plan_cells(cluster, query, plan)
+        result = engine.answer(query)
+        assert result.plan == plan
+        assert Counter(result.rows) == Counter(
+            QueryEngine(cluster).answer_from_base(query).rows
+        )
+        assert _query_cells(result.snapshot) == expected_cells
+
+
+def test_read_plans_of_stale_catalog_versions_are_dropped(ab_cluster):
+    """A read plan lives until the next catalog change: the first read
+    after one drops every plan of the older version."""
+    engine = QueryEngine(ab_cluster)
+    engine.answer(_pinned_read(1))
+    engine.answer(UNPINNED_READ)
+    engine.answer(_pinned_read(2))  # same shape: no new plan
+    assert len(engine._plans) == 2
+    _create_view(ab_cluster)
+    result = engine.answer(_pinned_read(3))
+    assert result.plan == "view probe (JV)"
+    assert len(engine._plans) == 1
+
+
+# ------------------------------------------------------------ read work
+
+
+def _warm_read_work(size, monkeypatch):
+    """Calls a warmed-up pinned view read makes with |A| = ``size``."""
+    cluster = Cluster(num_nodes=4)
+    cluster.create_relation(A, partitioned_on="a")
+    cluster.create_relation(B, partitioned_on="b")
+    cluster.insert("B", [(i, i, f"f{i}") for i in range(50)])
+    cluster.create_join_view(
+        two_way_view("JV", "A", "c", "B", "d", partitioning=HashPartitioning("e")),
+        method="naive",
+    )
+    cluster.insert("A", [(i, i % 50, i % 500) for i in range(size)])
+    engine = QueryEngine(cluster)
+    engine.answer(_pinned_read(3))  # compiles the shape
+    work = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            work[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(matching, "match_view")
+    counted(Node, "index_probe")
+    counted(Node, "fragment_pages")
+    before = cluster.ledger.snapshot()
+    result = engine.answer(_pinned_read(7))
+    spent = cluster.ledger.diff_since(before)
+    monkeypatch.undo()
+    assert result.plan == "view probe (JV)"
+    assert len(result.rows) == size // 500
+    # A statement before the first look at the snapshot is not the read's.
+    cluster.insert("A", [(size, 7, 7)])
+    assert result.snapshot.cells == spent.cells
+    assert result.cost_ios == spent.total_workload([Tag.QUERY]) > 0
+    return work
+
+
+def test_warm_read_work_does_not_grow_with_the_relation(monkeypatch):
+    """A warm pinned read matches no view, probes once, and stops adding
+    up base pages once the base join is dearer than the probe."""
+    small = _warm_read_work(2_000, monkeypatch)
+    large = _warm_read_work(20_000, monkeypatch)
+    assert small == large
+    assert small["match_view"] == 0
+    assert small["index_probe"] == 1
+    assert 0 < small["fragment_pages"] < 4  # fewer than A's fragments
