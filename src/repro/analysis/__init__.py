@@ -15,8 +15,8 @@ Two halves, one set of invariants:
 * **Dynamic** (:mod:`repro.analysis.sanitizer`,
   ``Cluster(sanitize=True)`` / ``REPRO_SANITIZE=1``): the same invariants
   asserted while an engine actually runs — send-charge parity against
-  ``NetworkStats``, ledger-cell sanity, facade purity, fragment/row-count
-  consistency, envelope-kind validation.
+  ``NetworkStats``, ledger-cell sanity, facade purity, the undo-scope gate,
+  envelope-kind validation.
 
 The static half never imports the engine (except REP005's vocabulary
 registry); the dynamic half is imported lazily by ``Cluster`` so the

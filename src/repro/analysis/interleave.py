@@ -159,8 +159,8 @@ def capture_state(cluster) -> RunState:
     )
     views = tuple(
         sorted(
-            (view_name, info.row_count)
-            for view_name, info in cluster.catalog.views.items()
+            (view_name, cluster.statistics.rows(view_name))
+            for view_name in cluster.catalog.views
         )
     )
     return RunState(cells, network, fragments, views, stream)

@@ -21,10 +21,10 @@ hooks, both free when disabled (one attribute test each):
   statement: ledger cells are finite, non-negative, and node-ranged;
   ``NetworkStats`` is internally consistent (``messages`` equals the
   ``by_link`` sum); the shared ``DISABLED`` obs facade has not been
-  written to (REP003); catalog ``row_count`` matches the fragment
-  contents (REP009's rollback contract, observed); and no undo scope is
-  open while the parallel engine is admissible (the gate REP005/REP009
-  rely on).
+  written to (REP003); and no undo scope is open while the parallel
+  engine is admissible (the gate REP005/REP009 rely on).  Cardinalities
+  need no check: :meth:`StatisticsCache.rows` sums the fragments, so it
+  has no copy that could drift.
 
 Envelope validation (REP005's runtime half) lives in
 :func:`repro.cluster.parallel.validate_op`, called by ``run_ops`` when
@@ -124,7 +124,6 @@ class StatementSanitizer:
         self._check_network_stats(where)
         self._check_send_parity(where)
         self._check_disabled_facade(where)
-        self._check_row_counts(where)
         self._check_undo_gate(where)
 
     def _fail(self, where: str, message: str) -> None:
@@ -193,22 +192,6 @@ class StatementSanitizer:
                 f"metrics {polluted}: some site touched obs.metrics "
                 "without an obs.enabled guard; see REP003",
             )
-
-    def _check_row_counts(self, where: str) -> None:
-        cluster = self.cluster
-        for name, info in sorted(cluster.catalog.relations.items()):
-            stored = sum(
-                len(node.fragment(name).table)
-                for node in cluster.nodes
-                if node.has_fragment(name)
-            )
-            if stored != info.row_count:
-                self._fail(
-                    where,
-                    f"relation {name!r} catalog row_count={info.row_count} "
-                    f"but fragments hold {stored} rows: a mutation bypassed "
-                    "the accounting (or an undo action was lost); see REP009",
-                )
 
     def _check_undo_gate(self, where: str) -> None:
         cluster = self.cluster

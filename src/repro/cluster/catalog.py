@@ -12,7 +12,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..storage.schema import Row, Schema
-from .partitioning import BoundPartitioner, BoundRoundRobin, PartitioningSpec
+from .partitioning import (
+    BoundPartitioner,
+    BoundRoundRobin,
+    PartitioningSpec,
+    stable_hash,
+)
 
 
 @dataclass
@@ -23,7 +28,6 @@ class RelationInfo:
     spec: PartitioningSpec
     partitioner: BoundPartitioner | BoundRoundRobin
     indexes: Dict[str, bool] = field(default_factory=dict)  # column -> clustered
-    row_count: int = 0
 
     @property
     def name(self) -> str:
@@ -78,8 +82,6 @@ class GlobalIndexInfo:
     serves_views: List[str] = field(default_factory=list)
 
     def home_node(self, key: object) -> int:
-        from .partitioning import stable_hash
-
         return stable_hash(key) % self.num_nodes
 
 
@@ -93,7 +95,6 @@ class ViewInfo:
     partitioner: BoundPartitioner | BoundRoundRobin
     maintainer: object  # core.maintenance.ViewMaintainer
     method: str = ""
-    row_count: int = 0
 
 
 class Catalog:

@@ -793,9 +793,6 @@ class Cluster:
                     node=home, tag=Tag.BASE, writes=1,
                     description=f"undo {relation} insert",
                 )
-        applied = len(inserts) - len(deletes)
-        if applied:
-            self._set_row_count(info, info.row_count + applied)
         return info, delta
 
     def _insert_rows(
@@ -828,15 +825,6 @@ class Cluster:
                 node=home, tag=tag, writes=1, args=(rowid, row),
             )
         return rowid
-
-    def _set_row_count(self, info, row_count: int) -> None:
-        """Move a catalog object's ``row_count``; inside an undo scope the
-        old value comes back on rollback (bookkeeping: no writes billed)."""
-        if self._undo_logs:
-            self._undo_logs[-1].record(
-                setattr, args=(info, "row_count", info.row_count)
-            )
-        info.row_count = row_count
 
     def _record_undo(
         self,
@@ -1140,11 +1128,6 @@ class Cluster:
                         self._delete_row(dest, name, row, Tag.VIEW)
                     except KeyError:
                         break  # duplicated delete: first copy already won
-            view.row_count -= 1
-            self._record_undo(
-                lambda v=view: setattr(v, "row_count", v.row_count + 1),
-                description=f"restore {name} row_count",
-            )
         for source, row in inserts:
             dest = partitioner.node_of_row(row)
             deliveries = self.network.send(source, dest, Tag.VIEW)
@@ -1155,11 +1138,6 @@ class Cluster:
                     node=dest, tag=Tag.VIEW, writes=1,
                     description=f"undo {name} insert",
                 )
-            view.row_count += 1
-            self._record_undo(
-                lambda v=view: setattr(v, "row_count", v.row_count - 1),
-                description=f"restore {name} row_count",
-            )
 
     def _apply_view_delta_bulk(
         self,
@@ -1209,10 +1187,6 @@ class Cluster:
                 self.network.send_many(src, dst, count, Tag.VIEW)
             for dest, rows in grouped.items():
                 self._insert_rows(dest, name, rows, Tag.VIEW)
-        if len(inserts) != len(deletes):
-            self._set_row_count(
-                view, view.row_count + len(inserts) - len(deletes)
-            )
 
     def _round_robin_delete(self, view: ViewInfo, source: int, row: Row) -> None:
         for node in self.nodes:

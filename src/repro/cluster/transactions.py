@@ -8,7 +8,7 @@ combined cost snapshot with the paper's two metrics.
 Since the fault-injection work the transaction also owns a real physical
 :class:`~repro.faults.undo.UndoLog`: every statement's mutations (base
 fragments, auxiliary relations, GI partitions, view fragments, replica
-bags, catalog row counts) record their inverses into it, so
+bags) record their inverses into it, so
 :meth:`Transaction.rollback` — or an exception escaping the ``with`` block —
 restores the cluster to the state at ``__enter__``, rowids included.
 Statements inside a transaction run on the same batched engine as
@@ -113,10 +113,10 @@ class Transaction:
     def rollback(self) -> None:
         """Undo every statement of this transaction, in reverse order.
 
-        Restores base fragments, auxiliary relations, global indexes, view
-        fragments, and catalog row counts — including rowids, so GI
-        rid-lists remain valid.  The transaction is closed to further DML
-        afterwards (as in SQL, ROLLBACK ends the transaction).
+        Restores base fragments, auxiliary relations, global indexes and
+        view fragments — including rowids, so GI rid-lists remain valid.
+        The transaction is closed to further DML afterwards (as in SQL,
+        ROLLBACK ends the transaction).
         """
         self._check_open()
         assert self._undo is not None

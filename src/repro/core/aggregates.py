@@ -249,12 +249,6 @@ class AggregateViewMaintainer(JoinViewMaintainer):
                             node=home, tag=Tag.VIEW, writes=1,
                             description=f"undo {name} aggregate rewrite",
                         )
-                    else:
-                        view.row_count -= 1
-                        record_undo(
-                            lambda v=view: setattr(v, "row_count", v.row_count + 1),
-                            description=f"restore {name} row_count",
-                        )
                     node.ledger.charge(home, Op.INSERT, Tag.VIEW)
                 else:
                     if count_delta < 0:  # pragma: no cover - guarded upstream
@@ -272,11 +266,6 @@ class AggregateViewMaintainer(JoinViewMaintainer):
                             description=f"undo {name} aggregate insert",
                         )
                         node.ledger.charge(home, Op.INSERT, Tag.VIEW)
-                        view.row_count += 1
-                        record_undo(
-                            lambda v=view: setattr(v, "row_count", v.row_count - 1),
-                            description=f"restore {name} row_count",
-                        )
 
     # -------------------------------------------------------------- reads
 

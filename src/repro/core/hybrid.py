@@ -60,7 +60,7 @@ def provision_hybrid(
             if choice is None:
                 choice = (
                     "auxiliary"
-                    if info.row_count <= ar_row_budget
+                    if cluster.statistics.rows(relation) <= ar_row_budget
                     else "global_index"
                 )
             if choice == "auxiliary":

@@ -72,14 +72,11 @@ class MaintenancePlanner:
 
     def _signature_key(self) -> Tuple:
         """Plan-cache tag: catalog version (DDL invalidation) plus the
-        relation cardinalities (replan as data grows; with exact O(1)
-        statistics re-pricing the hop orders costs microseconds)."""
+        relation cardinalities from :meth:`StatisticsCache.rows` (replan as
+        data grows; each is an O(L) sum of fragment sizes)."""
         return (
             self.cluster.catalog.version,
-            tuple(
-                self.cluster.catalog.relation(name).row_count
-                for name in self.bound.definition.relations
-            ),
+            tuple(map(self.statistics.rows, self.bound.definition.relations)),
         )
 
     def _single_order(self, updated: str) -> bool:
@@ -95,7 +92,7 @@ class MaintenancePlanner:
     def plan_for(self, updated: str) -> MaintenancePlan:
         """The cheapest legal plan for a delta on ``updated``.
 
-        Cached per catalog version and catalog cardinalities, so plans
+        Cached per catalog version and relation cardinalities, so plans
         adapt as data grows.
         """
         key = self._signature_key()
@@ -430,7 +427,7 @@ class MethodAdvisor:
             for column in self.bound.definition.join_columns_of(relation):
                 if info.is_partitioned_on(column):
                     continue
-                total += info.row_count
+                total += self.statistics.rows(relation)
         return total
 
     def recommend(
@@ -452,9 +449,7 @@ class MethodAdvisor:
         updated = updated_relation or self.bound.definition.relations[0]
         partners = [r for r in self.bound.definition.relations if r != updated]
         # Model parameters against the largest partner, the conservative pick.
-        partner = max(
-            partners, key=lambda name: self.cluster.catalog.relation(name).row_count
-        )
+        partner = max(partners, key=self.statistics.rows)
         condition = next(
             c for c in self.bound.definition.conditions_touching(updated)
             if c.other(updated)[0] in partners

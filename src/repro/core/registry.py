@@ -110,7 +110,6 @@ def materialize(maintainer: JoinViewMaintainer) -> None:
         fragment = nodes[node_id].fragment(view_info.name)
         for row in rows:
             fragment.insert(row)
-        view_info.row_count += len(rows)
 
 
 def recompute_view(cluster: "Cluster", view_name: str):

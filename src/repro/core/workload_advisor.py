@@ -147,7 +147,7 @@ class WorkloadAdvisor:
         definition = self.bound.definition
         partner = max(
             definition.relations[1:] or definition.relations,
-            key=lambda name: self.cluster.catalog.relation(name).row_count,
+            key=self.statistics.rows,
         )
         condition = definition.conditions_touching(partner)[0]
         column = condition.column_of(partner)

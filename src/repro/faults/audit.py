@@ -322,7 +322,6 @@ class ConsistencyAuditor:
                     fragment = node.fragment(name)
                     for rowid, _ in list(fragment.table.scan()):
                         fragment.delete(rowid)
-            info.row_count = 0
             materialize(maintainer)
             report.views_rebuilt.append(name)
         # Rebuilt fragments bypassed the replication hooks: re-converge the

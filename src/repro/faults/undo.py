@@ -2,18 +2,18 @@
 
 Every mutation the cluster's update path performs — base-fragment writes,
 auxiliary-relation co-updates, global-index entry changes, view writes,
-catalog row counts, deferred-queue state — records an inverse operation
-into the innermost active :class:`UndoLog`.  Rolling back replays the
-inverses in reverse order, restoring the cluster to the exact state before
-the scope opened, *including rowids* (GI rid-lists survive a rollback —
-see :meth:`repro.storage.heap.HeapTable.restore`).
+deferred-queue state — records an inverse operation into the innermost
+active :class:`UndoLog`.  Rolling back replays the inverses in reverse
+order, restoring the cluster to the exact state before the scope opened,
+*including rowids* (GI rid-lists survive a rollback — see
+:meth:`repro.storage.heap.HeapTable.restore`).
 
 An inverse is a callable plus its arguments.  The batched engine records
 one per write *batch* — ``fragment.delete_many`` with the rowids an
 ``insert_many`` produced, ``fragment.restore`` with the (rowid, row) of a
-located delete, ``partition.delete_many`` with a GI entry batch,
-``setattr`` with a ``row_count``'s old value — as a bound method and an
-argument tuple, so the hot path builds no closure and formats no string.
+located delete, ``partition.delete_many`` with a GI entry batch — as a
+bound method and an argument tuple, so the hot path builds no closure and
+formats no string.
 Arbitrary closures (deferred queues, aggregate rewrites, the per-tuple
 reference engine) record the same way with no arguments.
 
@@ -42,7 +42,7 @@ class UndoEntry:
     """One recorded inverse operation: ``undo(*args)`` reverses it.
 
     ``writes`` is the number of physical write I/Os replaying the inverse
-    costs (0 for pure bookkeeping such as row-count restores; ``n`` for a
+    costs (0 for pure bookkeeping such as deferred-queue restores; ``n`` for a
     batch of ``n`` tuples); ``node`` and ``tag`` say where/how to charge
     them.
     """

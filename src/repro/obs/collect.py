@@ -190,10 +190,10 @@ def collect_cluster_metrics(
 
     # -- catalog / storage ----------------------------------------------
     rows = registry.gauge("repro_catalog_rows", "Row counts per catalog object")
-    for name, info in cluster.catalog.relations.items():
-        rows.set(info.row_count, kind="relation", name=name)
-    for name, view in cluster.catalog.views.items():
-        rows.set(view.row_count, kind="view", name=name)
+    for name in cluster.catalog.relations:
+        rows.set(cluster.statistics.rows(name), kind="relation", name=name)
+    for name in cluster.catalog.views:
+        rows.set(cluster.statistics.rows(name), kind="view", name=name)
     fragment_tuples = registry.gauge(
         "repro_fragment_tuples", "Stored tuples per node fragment"
     )

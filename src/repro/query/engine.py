@@ -26,6 +26,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.catalog import ViewInfo
+from ..cluster.partitioning import stable_hash
 from ..costs import CostSnapshot, CostWindow, Tag
 from ..storage.schema import Row
 from .matching import ViewMatch, find_matches
@@ -377,8 +378,6 @@ class QueryEngine:
         return results
 
     def _node_for(self, key: object) -> int:
-        from ..cluster.partitioning import stable_hash
-
         return stable_hash(key) % self.cluster.num_nodes
 
     def _join_order(self, query: Query) -> List[str]:

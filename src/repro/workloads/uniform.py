@@ -93,6 +93,5 @@ def build_cluster(
     for row in workload.b_rows():
         node = b_info.partitioner.node_of_row(row)
         cluster.nodes[node].fragment("B").insert(row)
-    b_info.row_count += workload.num_keys * workload.fanout
     cluster.create_join_view(workload.definition(), method=method, strategy=strategy)
     return cluster

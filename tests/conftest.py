@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Cluster, HashPartitioning, Schema, two_way_view
+from repro.costs.ledger import format_cell_diff
 from repro.workloads.uniform import UniformJoinWorkload, build_cluster
 
 
@@ -26,6 +27,54 @@ def make_view(cluster, method, strategy="auto", **kwargs):
         strategy=strategy,
         **kwargs,
     )
+
+
+def run_ops(cluster, ops):
+    """Apply ``(kind, relation, payload)`` ops, kind being the statement
+    method: ``insert``, ``delete`` or ``update``."""
+    for kind, relation, payload in ops:
+        getattr(cluster, kind)(relation, payload)
+
+
+def network_state(cluster):
+    stats = cluster.network.stats
+    return (
+        stats.messages,
+        stats.local_deliveries,
+        dict(stats.by_link),
+        stats.drops,
+        stats.duplicates,
+        stats.retries,
+        stats.backoff_slots,
+    )
+
+
+def fragment_contents(cluster, name):
+    """Per-node fragment rows *in storage order* — catches any reordering,
+    not just multiset divergence."""
+    return {
+        node.node_id: node.scan(name)
+        for node in cluster.nodes
+        if node.has_fragment(name)
+    }
+
+
+def assert_equivalent(cluster, reference, names):
+    """Two engines' runs left identical ledger cells, network statistics,
+    contents of the ``names`` fragments and view cardinalities."""
+    cell_diff = cluster.ledger.diff(reference.ledger)
+    assert not cell_diff, (
+        f"ledger cells diverge (cluster - reference):\n{format_cell_diff(cell_diff)}"
+    )
+    assert network_state(cluster) == network_state(reference)
+    for name in names:
+        assert fragment_contents(cluster, name) == fragment_contents(
+            reference, name
+        ), f"fragment contents diverge for {name!r}"
+    for view_name in cluster.catalog.views:
+        assert cluster.statistics.rows(view_name) == reference.statistics.rows(
+            view_name
+        )
 
 
 @pytest.fixture

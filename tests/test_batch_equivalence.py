@@ -19,49 +19,11 @@ from repro import Cluster, HashPartitioning, Schema, two_way_view
 from repro.cluster.partitioning import RoundRobinPartitioning
 from repro.core.deferred import defer_view
 from repro.core.view import JoinCondition, JoinViewDefinition
-from repro.costs.ledger import format_cell_diff
 from repro.faults import FaultPlan, attach_faults
+from tests.conftest import assert_equivalent, run_ops
 
 METHODS = ("naive", "auxiliary", "global_index", "hybrid")
 STRATEGIES = ("inl", "sort_merge", "auto")
-
-
-def _network_state(cluster):
-    stats = cluster.network.stats
-    return (
-        stats.messages,
-        stats.local_deliveries,
-        dict(stats.by_link),
-        stats.drops,
-        stats.duplicates,
-        stats.retries,
-        stats.backoff_slots,
-    )
-
-
-def _fragment_contents(cluster, name):
-    """Per-node fragment rows *in storage order* — catches any reordering,
-    not just multiset divergence."""
-    return {
-        node.node_id: node.scan(name)
-        for node in cluster.nodes
-        if node.has_fragment(name)
-    }
-
-
-def assert_equivalent(batched, reference, names):
-    cell_diff = batched.ledger.diff(reference.ledger)
-    assert not cell_diff, (
-        "batched vs reference ledger cells diverge "
-        f"(batched - reference):\n{format_cell_diff(cell_diff)}"
-    )
-    assert _network_state(batched) == _network_state(reference)
-    for name in names:
-        assert _fragment_contents(batched, name) == _fragment_contents(
-            reference, name
-        ), f"fragment contents diverge for {name!r}"
-    for view_name, info in batched.catalog.views.items():
-        assert info.row_count == reference.catalog.view(view_name).row_count
 
 
 def _build(method, strategy, batch, partitioning=None, num_nodes=4):
@@ -113,24 +75,14 @@ def _script(seed, steps=40, keys=7):
     return ops
 
 
-def _run(cluster, ops):
-    for kind, rel, payload in ops:
-        if kind == "insert":
-            cluster.insert(rel, payload)
-        elif kind == "delete":
-            cluster.delete(rel, payload)
-        else:
-            cluster.update(rel, payload)
-
-
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_two_way_equivalence(method, strategy):
     ops = _script(seed=hash((method, strategy)) % 10_000)
     batched = _build(method, strategy, batch=True)
     reference = _build(method, strategy, batch=False)
-    _run(batched, ops)
-    _run(reference, ops)
+    run_ops(batched, ops)
+    run_ops(reference, ops)
     names = ["A", "B", "JV", *batched.catalog.auxiliaries]
     assert_equivalent(batched, reference, names)
 
@@ -142,8 +94,8 @@ def test_round_robin_view_equivalence(method):
     ops = _script(seed=11, steps=30)
     batched = _build(method, "inl", True, partitioning=RoundRobinPartitioning())
     reference = _build(method, "inl", False, partitioning=RoundRobinPartitioning())
-    _run(batched, ops)
-    _run(reference, ops)
+    run_ops(batched, ops)
+    run_ops(reference, ops)
     assert_equivalent(batched, reference, ["A", "B", "JV"])
 
 
@@ -179,8 +131,8 @@ def test_triangle_multiway_equivalence(method):
     for i in range(15):
         ops.append(("insert", "A", [(rng.randrange(4), rng.randrange(4), i)]))
     batched, reference = build(True), build(False)
-    _run(batched, ops)
-    _run(reference, ops)
+    run_ops(batched, ops)
+    run_ops(reference, ops)
     names = ["A", "B", "C", "TRI", *batched.catalog.auxiliaries]
     assert_equivalent(batched, reference, names)
 
@@ -229,7 +181,7 @@ def test_fault_plan_equivalence(plan_name):
     def run(batch):
         cluster = _build("auxiliary", "inl", batch)
         attach_faults(cluster, plan=plans[plan_name].scaled(3.0), seed=7)
-        _run(cluster, _script(seed=3, steps=20))
+        run_ops(cluster, _script(seed=3, steps=20))
         return cluster
 
     batched = run(True)

@@ -49,7 +49,7 @@ def test_insert_places_rows_by_hash(ab_cluster):
     ab_cluster.insert("A", [(10, 1, "x")])
     home = stable_hash(10) % 4
     assert len(ab_cluster.nodes[home].fragment("A").table) == 1
-    assert ab_cluster.catalog.relation("A").row_count == 1
+    assert ab_cluster.statistics.rows("A") == 1
 
 
 def test_partitioning_invariant_for_all_relations(ab_cluster):
@@ -75,7 +75,7 @@ def test_update_is_delete_plus_insert(ab_cluster):
     ab_cluster.insert("A", [(1, 2, "x")])
     ab_cluster.update("A", [((1, 2, "x"), (1, 3, "y"))])
     assert ab_cluster.scan_relation("A") == [(1, 3, "y")]
-    assert ab_cluster.catalog.relation("A").row_count == 1
+    assert ab_cluster.statistics.rows("A") == 1
 
 
 def test_auxiliary_relation_backfilled(ab_cluster):

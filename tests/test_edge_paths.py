@@ -180,4 +180,4 @@ def test_view_row_helpers(ab_cluster):
     view = make_view(ab_cluster, "naive")
     assert ab_cluster.view_rows("JV") == []
     ab_cluster.insert("A", [(1, 2, "x")])
-    assert view.row_count == len(ab_cluster.view_rows("JV")) == 4
+    assert ab_cluster.statistics.rows(view.name) == len(ab_cluster.view_rows("JV")) == 4

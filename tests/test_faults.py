@@ -307,7 +307,7 @@ def test_transaction_rollback_restores_everything():
     baseline = {
         "A": sorted(cluster.scan_relation("A")),
         "JV": sorted(cluster.view_rows("JV")),
-        "count": cluster.catalog.relation("A").row_count,
+        "count": cluster.statistics.rows("A"),
     }
     with cluster.transaction() as txn:
         txn.insert("A", [(100, 0, 0), (101, 1, 1)])
@@ -316,7 +316,7 @@ def test_transaction_rollback_restores_everything():
     assert txn.report.rolled_back
     assert sorted(cluster.scan_relation("A")) == baseline["A"]
     assert sorted(cluster.view_rows("JV")) == baseline["JV"]
-    assert cluster.catalog.relation("A").row_count == baseline["count"]
+    assert cluster.statistics.rows("A") == baseline["count"]
     assert ConsistencyAuditor(cluster).audit().ok
     with pytest.raises(RuntimeError):
         txn.insert("A", [(102, 2, 2)])  # rollback closed the transaction

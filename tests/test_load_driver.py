@@ -15,6 +15,7 @@ from repro.obs.collect import attach_observability
 from repro.obs.load import build_schedule, execute_schedule
 from repro.obs.timeseries import TimeSeriesCollector
 from repro.workloads.skewed import SkewedJoinWorkload, build_skewed_cluster
+from tests.conftest import fragment_contents, network_state
 
 METHODS = ("naive", "auxiliary", "global_index")
 MODES = ("eager", "deferred")
@@ -74,32 +75,11 @@ def _run(method: str, mode: str, workers: int, measure: bool):
     return cluster, timings, state
 
 
-def _network_state(cluster):
-    stats = cluster.network.stats
-    return (
-        stats.messages,
-        stats.local_deliveries,
-        dict(stats.by_link),
-        stats.drops,
-        stats.duplicates,
-        stats.retries,
-        stats.backoff_slots,
-    )
-
-
-def _fragment_contents(cluster, name):
-    return {
-        node.node_id: node.scan(name)
-        for node in cluster.nodes
-        if node.has_fragment(name)
-    }
-
-
 def _cluster_state(cluster):
     return {
-        "network": _network_state(cluster),
+        "network": network_state(cluster),
         "fragments": {
-            name: _fragment_contents(cluster, name) for name in ("A", "B", "JV")
+            name: fragment_contents(cluster, name) for name in ("A", "B", "JV")
         },
     }
 

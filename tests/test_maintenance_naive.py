@@ -108,8 +108,8 @@ def test_sort_merge_charges_scans_not_searches(ab_cluster):
 
 
 def test_view_row_count_tracked(ab_cluster):
-    info = make_view(ab_cluster, "naive")
+    make_view(ab_cluster, "naive")
     ab_cluster.insert("A", [(1, 2, "x")])
-    assert info.row_count == 4
+    assert ab_cluster.statistics.rows("JV") == 4
     ab_cluster.delete("A", [(1, 2, "x")])
-    assert info.row_count == 0
+    assert ab_cluster.statistics.rows("JV") == 0

@@ -28,6 +28,7 @@ from repro.core.deferred import defer_view
 from repro.core.registry import recompute_view
 from repro.core.view import JoinViewDefinition
 from repro.costs import Op, Tag
+from tests.conftest import fragment_contents
 
 METHODS = ("naive", "auxiliary", "global_index")
 
@@ -98,25 +99,12 @@ def _script(cluster, seed=11, steps=24):
             serial += 1
 
 
-def _view_contents(cluster, name):
-    """Per-node view rows in storage order — catches ordering divergence,
-    not just multiset divergence."""
-    return {
-        node.node_id: node.scan(name)
-        for node in cluster.nodes
-        if node.has_fragment(name)
-    }
-
-
 def _assert_views_identical(shared, independent, names):
     for name in names:
-        assert _view_contents(shared, name) == _view_contents(
+        assert fragment_contents(shared, name) == fragment_contents(
             independent, name
         ), f"view contents diverge for {name!r}"
-        assert (
-            shared.catalog.view(name).row_count
-            == independent.catalog.view(name).row_count
-        )
+        assert shared.statistics.rows(name) == independent.statistics.rows(name)
         assert Counter(shared.view_rows(name)) == recompute_view(shared, name)
 
 
@@ -331,7 +319,7 @@ def test_worker_probe_cache_partner_write_invalidates_for_all_views():
                 cluster, name
             )
         flat = [
-            row for rows in _view_contents(cluster, "JV0").values()
+            row for rows in fragment_contents(cluster, "JV0").values()
             for row in rows
         ]
         assert any(999 in row for row in flat)

@@ -85,6 +85,24 @@ def test_plan_cache_invalidated_by_cardinality_change():
     cluster.insert("B", [(100, 1, "x")])
     assert planner.plan_for("A") is not plan1  # stats signature changed
 
+    # Three relations: B's delta has two hop orders, so its compiled plan is
+    # keyed on the cardinality signature, read on every statement.
+    cluster.create_relation(C, partitioned_on="p")
+    for relation, column in (("A", "c"), ("B", "f"), ("C", "g")):
+        cluster.create_index(relation, column)
+    chain = JoinViewDefinition(
+        "JV3",
+        ("A", "B", "C"),
+        (JoinCondition("A", "c", "B", "d"), JoinCondition("B", "f", "C", "g")),
+    )
+    planner = MaintenancePlanner(
+        cluster, bound_for(cluster, chain), MaintenanceMethod.NAIVE
+    )
+    compiled = planner.compiled_for("B")
+    assert planner.compiled_for("B") is compiled
+    cluster.insert("C", [(1, "h", 0)])
+    assert planner.compiled_for("B") is not compiled
+
 
 def test_alternatives_sorted_by_cost_triangle():
     """§2.2's optimization problem: the cheapest of the 4 triangle plans
@@ -135,7 +153,6 @@ def big_b_cluster(rows: int = 5_000):
     for i in range(rows):
         row = (i, i, f"f{i}")
         cluster.nodes[b_info.partitioner.node_of_row(row)].fragment("B").insert(row)
-    b_info.row_count += rows
     return cluster
 
 

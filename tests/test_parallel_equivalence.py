@@ -22,7 +22,7 @@ from repro.cluster.parallel import fork_available, shard_ranges
 from repro.cluster.partitioning import RoundRobinPartitioning
 from repro.core.deferred import defer_view
 from repro.core.view import JoinCondition, JoinViewDefinition
-from repro.costs.ledger import format_cell_diff
+from tests.conftest import assert_equivalent, fragment_contents, run_ops
 
 WORKER_COUNTS = tuple(
     int(token)
@@ -35,44 +35,6 @@ STRATEGIES = ("inl", "sort_merge", "auto")
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable on this platform"
 )
-
-
-def _network_state(cluster):
-    stats = cluster.network.stats
-    return (
-        stats.messages,
-        stats.local_deliveries,
-        dict(stats.by_link),
-        stats.drops,
-        stats.duplicates,
-        stats.retries,
-        stats.backoff_slots,
-    )
-
-
-def _fragment_contents(cluster, name):
-    """Per-node fragment rows *in storage order* — catches replay
-    reordering, not just multiset divergence."""
-    return {
-        node.node_id: node.scan(name)
-        for node in cluster.nodes
-        if node.has_fragment(name)
-    }
-
-
-def assert_equivalent(parallel, serial, names):
-    cell_diff = parallel.ledger.diff(serial.ledger)
-    assert not cell_diff, (
-        "parallel vs serial ledger cells diverge "
-        f"(parallel - serial):\n{format_cell_diff(cell_diff)}"
-    )
-    assert _network_state(parallel) == _network_state(serial)
-    for name in names:
-        assert _fragment_contents(parallel, name) == _fragment_contents(
-            serial, name
-        ), f"fragment contents diverge for {name!r}"
-    for view_name, info in parallel.catalog.views.items():
-        assert info.row_count == serial.catalog.view(view_name).row_count
 
 
 def _build(
@@ -136,16 +98,6 @@ def _script(seed, steps=40, keys=7):
     return ops
 
 
-def _run(cluster, ops):
-    for kind, rel, payload in ops:
-        if kind == "insert":
-            cluster.insert(rel, payload)
-        elif kind == "delete":
-            cluster.delete(rel, payload)
-        else:
-            cluster.update(rel, payload)
-
-
 # ----------------------------------------------------------------- sharding
 
 
@@ -170,8 +122,8 @@ def test_two_way_equivalence(method, strategy, workers):
     parallel = _build(method, strategy, workers)
     serial = _build(method, strategy, None)
     try:
-        _run(parallel, ops)
-        _run(serial, ops)
+        run_ops(parallel, ops)
+        run_ops(serial, ops)
         names = ["A", "B", "JV", *parallel.catalog.auxiliaries]
         assert_equivalent(parallel, serial, names)
     finally:
@@ -187,8 +139,8 @@ def test_reference_engine_equivalence(method, workers):
     parallel = _build(method, "auto", workers)
     reference = _build(method, "auto", None, batch=False)
     try:
-        _run(parallel, ops)
-        _run(reference, ops)
+        run_ops(parallel, ops)
+        run_ops(reference, ops)
         names = ["A", "B", "JV", *parallel.catalog.auxiliaries]
         assert_equivalent(parallel, reference, names)
     finally:
@@ -204,8 +156,8 @@ def test_round_robin_view_equivalence(method, workers):
     parallel = _build(method, "inl", workers, partitioning=RoundRobinPartitioning())
     serial = _build(method, "inl", None, partitioning=RoundRobinPartitioning())
     try:
-        _run(parallel, ops)
-        _run(serial, ops)
+        run_ops(parallel, ops)
+        run_ops(serial, ops)
         assert_equivalent(parallel, serial, ["A", "B", "JV"])
     finally:
         parallel.close()
@@ -245,8 +197,8 @@ def test_triangle_multiway_equivalence(method, workers):
         ops.append(("insert", "A", [(rng.randrange(4), rng.randrange(4), i)]))
     parallel, serial = build(workers), build(None)
     try:
-        _run(parallel, ops)
-        _run(serial, ops)
+        run_ops(parallel, ops)
+        run_ops(serial, ops)
         names = ["A", "B", "C", "TRI", *parallel.catalog.auxiliaries]
         assert_equivalent(parallel, serial, names)
     finally:
@@ -386,7 +338,7 @@ def test_probe_cache_invalidation_on_partner_write(method):
         assert_equivalent(parallel, serial, names)
         # The view really reflects the partner writes (not vacuous).
         jv_rows = [
-            row for rows in _fragment_contents(parallel, "JV").values()
+            row for rows in fragment_contents(parallel, "JV").values()
             for row in rows
         ]
         assert any("fresh" in row for row in jv_rows)
@@ -443,7 +395,7 @@ def test_shared_memory_transport_equivalence(monkeypatch):
         engine = cluster._parallel_engine
         assert engine is not None and engine.running
         engine.shm_min_bytes = 1
-        _run(cluster, ops)
+        run_ops(cluster, ops)
     finally:
         cluster.close()
     assert segments, "shared-memory path never exercised"
@@ -451,7 +403,7 @@ def test_shared_memory_transport_equivalence(monkeypatch):
     serial = _build("auxiliary", "inl", None)
     try:
         serial.insert("A", [(1, 1, 1)])
-        _run(serial, ops)
+        run_ops(serial, ops)
         names = ["A", "B", "JV", *cluster.catalog.auxiliaries]
         assert_equivalent(cluster, serial, names)
     finally:

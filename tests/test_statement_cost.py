@@ -297,7 +297,7 @@ def test_undersupplied_delete_raises_before_any_mutation(method):
         name: [list(node.fragment(name).table.scan()) for node in cluster.nodes]
         for name in ("A", "JV")
     }
-    assert cluster.catalog.relation("A").row_count == 3
+    assert cluster.statistics.rows("A") == 3
 
 
 #: Ledger cells of :func:`_fixed_script` at the seed commit (2b9e6a5), where

@@ -228,11 +228,6 @@ def physical_state(cluster):
             for node in cluster.nodes
             for slot, bag in node._replicas.items()
         },
-        "row_counts": {
-            name: info.row_count
-            for table in (catalog.relations, catalog.views)
-            for name, info in table.items()
-        },
         "statistics": {
             name: cluster.statistics.for_relation(name)
             for name in catalog.relations

@@ -14,7 +14,6 @@ def build_advisor(b_rows=5_000, num_nodes=8, clustered=False):
     for i in range(b_rows):
         row = (i, i % 500, f"f{i}")
         cluster.nodes[info.partitioner.node_of_row(row)].fragment("B").insert(row)
-    info.row_count += b_rows
     bound = BoundView(
         two_way_view("JV", "A", "c", "B", "d"),
         {

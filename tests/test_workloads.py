@@ -76,7 +76,7 @@ def test_load_into_cluster_partitions_correctly():
     cluster = Cluster(4)
     dataset = TpcrGenerator(scale=0.001).generate()
     load_into(cluster, dataset)
-    assert cluster.catalog.relation("orders").row_count == 1_500
+    assert cluster.statistics.rows("orders") == 1_500
     position = cluster.catalog.relation("customer").schema.index_of("custkey")
     for node in cluster.nodes:
         for row in node.scan("customer"):
@@ -134,7 +134,7 @@ def test_uniform_a_stream_matches_a_rows():
 def test_build_cluster_ready_to_measure():
     workload = UniformJoinWorkload(num_keys=8, fanout=2)
     cluster = build_cluster(workload, num_nodes=4, method="auxiliary")
-    assert cluster.catalog.relation("B").row_count == 16
+    assert cluster.statistics.rows("B") == 16
     snapshot = cluster.insert("A", [workload.a_row(0)])
     assert len(cluster.view_rows("JV")) == 2
     assert snapshot.maintenance_workload() > 0
