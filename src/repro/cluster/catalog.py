@@ -9,8 +9,9 @@ auxiliary structures must be co-updated and which view maintainers must run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..storage.global_index import GlobalRowId
 from ..storage.schema import Row, Schema
 from .partitioning import (
     BoundPartitioner,
@@ -18,6 +19,9 @@ from .partitioning import (
     PartitioningSpec,
     stable_hash,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .node import Node
 
 
 @dataclass
@@ -68,6 +72,17 @@ class AuxiliaryRelationInfo:
             return None
         return self.project(base_row)
 
+    def derive(self, nodes: Iterable["Node"]) -> Iterable[Dict[int, List[Row]]]:
+        """The AR recomputed from its base: one ``{node: [images]}`` batch
+        per source node, in node-id then scan order (DESIGN.md §14), for
+        the DDL backfill and ``repair()`` to write one batch at a time."""
+        keep = self.predicate
+        for node in nodes:
+            if node.has_fragment(self.base):
+                rows = node.scan(self.base)
+                kept = rows if keep is None else filter(keep, rows)
+                yield self.partitioner.split(map(self.project, kept))
+
 
 @dataclass
 class GlobalIndexInfo:
@@ -83,6 +98,25 @@ class GlobalIndexInfo:
 
     def home_node(self, key: object) -> int:
         return stable_hash(key) % self.num_nodes
+
+    def derive(
+        self, nodes: Iterable["Node"]
+    ) -> Iterable[Dict[int, List[Tuple[object, GlobalRowId]]]]:
+        """The GI recomputed from its base: one ``{home: [(key, grid)]}``
+        batch per source node, in node-id then scan order (DESIGN.md §14),
+        for the DDL backfill, ``repair()`` and the membership remap."""
+        position = self.key_position
+        home_node = self.home_node
+        for node in nodes:
+            if not node.has_fragment(self.base):
+                continue
+            placed: Dict[int, List[Tuple[object, GlobalRowId]]] = {}
+            for rowid, row in node.fragment(self.base).table.scan():
+                key = row[position]
+                placed.setdefault(home_node(key), []).append(
+                    (key, GlobalRowId(node.node_id, rowid))
+                )
+            yield placed
 
 
 @dataclass

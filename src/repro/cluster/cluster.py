@@ -55,7 +55,6 @@ from .partitioning import (
     ConsistentHashPartitioning,
     HashPartitioning,
     PartitioningSpec,
-    RoundRobinPartitioning,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -368,14 +367,7 @@ class Cluster:
             node.create_fragment(ar_schema)
             node.create_local_index(ar_name, on_column, clustered=True)
         # Backfill from the existing base contents (uncharged: offline build).
-        for node in self.nodes:
-            if node.has_fragment(base):
-                for row in node.scan(base):
-                    image = info.image_of(row)
-                    if image is None:
-                        continue
-                    dest = partitioner.node_of_row(image)
-                    self.nodes[dest].fragment(ar_name).insert(image)
+        self._write_placed(ar_name, info.derive(self.nodes))
         self._sync_replicas()
         return info
 
@@ -421,14 +413,7 @@ class Cluster:
         for node in self.nodes:
             node.create_gi_partition(gi_name, base, on_column)
         # Backfill entries for existing base rows (uncharged: offline build).
-        for node in self.nodes:
-            if node.has_fragment(base):
-                for rowid, row in node.fragment(base).table.scan():
-                    key = row[info.key_position]
-                    dest = info.home_node(key)
-                    self.nodes[dest].gi_partition(gi_name).insert(
-                        key, GlobalRowId(node.node_id, rowid)
-                    )
+        self._write_placed(gi_name, info.derive(self.nodes))
         return info
 
     def _bind_spec(self, spec: PartitioningSpec, schema: Schema):
@@ -577,6 +562,20 @@ class Cluster:
             node.replicator = None
             for owner, name in node.replica_slots():
                 node.drop_replica(owner, name)
+
+    def _write_placed(self, name: str, batches: Iterable[Dict[int, list]]) -> None:
+        """The one uncharged writer of offline builds: write each ``{node:
+        items}`` batch as one bulk insert per node into ``name``'s fragment
+        (rows) or, for a global index, its partition (``(key, grid)``
+        pairs).  Batches apply in order, so each node receives exactly what
+        per-row inserts would have written (DESIGN.md §14)."""
+        is_gi = name in self.catalog.global_indexes
+        for placed in batches:
+            for node_id, items in placed.items():
+                if is_gi:
+                    self.nodes[node_id].gi_partition(name).insert_many(items)
+                else:
+                    self.nodes[node_id].fragment(name).insert_many(items)
 
     def _sync_replicas(self) -> None:
         """Re-converge replica bags after a DDL reshapes fragments

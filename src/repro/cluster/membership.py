@@ -584,13 +584,12 @@ def _remap_global_indexes(
         deleted += len(purged)
         # Pass 2 (charged diff): expected entry set under the new homes and
         # the post-migration rowids vs. what the partitions store.
-        expected: Counter[Tuple[int, object, int, int]] = Counter()
-        for node in cluster.nodes:
-            if not node.has_fragment(gi.base):
-                continue
-            for rowid, row in node.fragment(gi.base).table.scan():
-                key = row[gi.key_position]
-                expected[(gi.home_node(key), key, node.node_id, rowid)] += 1
+        expected: Counter[Tuple[int, object, int, int]] = Counter(
+            (home, key, grid.node, grid.rowid)
+            for placed in gi.derive(cluster.nodes)
+            for home, entries in placed.items()
+            for key, grid in entries
+        )
         actual: Counter[Tuple[int, object, int, int]] = Counter()
         for node in cluster.nodes:
             try:

@@ -148,24 +148,6 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def shard_ranges(num_nodes: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` node ranges, one per worker, sizes within 1.
-
-    The read-server pool no longer binds workers to node shards (any worker
-    serves any node), but the range partition remains the deterministic
-    node↔worker attribution.
-    """
-    workers = max(1, min(workers, num_nodes))
-    base, extra = divmod(num_nodes, workers)
-    ranges: List[Tuple[int, int]] = []
-    lo = 0
-    for index in range(workers):
-        hi = lo + base + (1 if index < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
 # ========================================================== wire framing
 
 #: Envelope frame: ``<u32 buffer-count> <u64 payload-len> <u64 size>*N``

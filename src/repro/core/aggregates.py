@@ -25,17 +25,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cluster.catalog import ViewInfo
 from ..cluster.membership import _check_no_open_scope
-from ..cluster.partitioning import HashPartitioning
 from ..costs import Op, Tag
 from ..storage.index import LocalIndex
 from ..storage.schema import Column, Row, Schema
 from .delta import Delta
 from .maintenance import JoinStrategy, JoinViewMaintainer, MaintenanceMethod
-from .registry import materialize
 from .view import BoundView, JoinViewDefinition, SelectItem, ViewDefinitionError
 
 
@@ -379,7 +377,7 @@ def define_aggregate_join_view(
     )
     view_info.maintainer = maintainer
     cluster.catalog.add_view(view_info, list(definition.relations))
-    materialize(maintainer)
+    cluster._write_placed(view_info.name, [maintainer.derive()])
     return view_info
 
 

@@ -97,19 +97,8 @@ def define_join_view(
     cluster.catalog.add_view(view_info, list(definition.relations))
 
     if initial_load:
-        materialize(maintainer)
+        cluster._write_placed(view_info.name, [maintainer.derive()])
     return view_info
-
-
-def materialize(maintainer: JoinViewMaintainer) -> None:
-    """Write ``maintainer.derive()`` into the view's empty fragments
-    without charging the ledger."""
-    view_info = maintainer.view_info
-    nodes = maintainer.cluster.nodes
-    for node_id, rows in maintainer.derive().items():
-        fragment = nodes[node_id].fragment(view_info.name)
-        for row in rows:
-            fragment.insert(row)
 
 
 def recompute_view(cluster: "Cluster", view_name: str):

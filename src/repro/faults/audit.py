@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.cluster import Cluster
@@ -273,57 +273,41 @@ class ConsistencyAuditor:
         model and atomicity).
         """
         from ..core.deferred import DeferredMaintainer
-        from ..core.registry import materialize
-        from ..storage import GlobalRowId
 
         cluster = self.cluster
+        catalog = cluster.catalog
         # Repair rebuilds fragments in place, bypassing the superstep
         # engine: drain any worker pool so no replica survives the rebuild.
         cluster._drain_parallel()
         report = RepairReport()
-        for name, aux in cluster.catalog.auxiliaries.items():
-            for node in cluster.nodes:
-                if node.has_fragment(name):
-                    fragment = node.fragment(name)
-                    for rowid, _ in list(fragment.table.scan()):
-                        fragment.delete(rowid)
-            for node in cluster.nodes:
-                if not node.has_fragment(aux.base):
-                    continue
-                for row in node.scan(aux.base):
-                    image = aux.image_of(row)
-                    if image is None:
-                        continue
-                    dest = aux.partitioner.node_of_row(image)
-                    cluster.nodes[dest].fragment(name).insert(image)
-            report.auxiliaries_rebuilt.append(name)
-        for name, gi in cluster.catalog.global_indexes.items():
-            for node in cluster.nodes:
-                try:
-                    node.gi_partition(name).clear()
-                except KeyError:
-                    node.create_gi_partition(name, gi.base, gi.column)
-            for node in cluster.nodes:
-                if not node.has_fragment(gi.base):
-                    continue
-                for rowid, row in node.fragment(gi.base).table.scan():
-                    key = row[gi.key_position]
-                    cluster.nodes[gi.home_node(key)].gi_partition(name).insert(
-                        key, GlobalRowId(node.node_id, rowid)
-                    )
-            report.global_indexes_rebuilt.append(name)
-        for name, info in cluster.catalog.views.items():
+        # (name, its derive() batches, the report list it lands in)
+        rebuilds = [
+            (name, aux.derive(cluster.nodes), report.auxiliaries_rebuilt)
+            for name, aux in catalog.auxiliaries.items()
+        ] + [
+            (name, gi.derive(cluster.nodes), report.global_indexes_rebuilt)
+            for name, gi in catalog.global_indexes.items()
+        ]
+        for name, info in catalog.views.items():
             maintainer = info.maintainer
             if isinstance(maintainer, DeferredMaintainer):
                 maintainer.discard_pending()
                 maintainer = maintainer.inner
+            rebuilds.append((name, [maintainer.derive()], report.views_rebuilt))
+        for name, batches, rebuilt in rebuilds:
+            gi = catalog.global_indexes.get(name)
             for node in cluster.nodes:
-                if node.has_fragment(name):
+                if gi is not None:
+                    try:
+                        node.gi_partition(name).clear()
+                    except KeyError:
+                        node.create_gi_partition(name, gi.base, gi.column)
+                elif node.has_fragment(name):
                     fragment = node.fragment(name)
                     for rowid, _ in list(fragment.table.scan()):
                         fragment.delete(rowid)
-            materialize(maintainer)
-            report.views_rebuilt.append(name)
+            cluster._write_placed(name, batches)
+            rebuilt.append(name)
         # Rebuilt fragments bypassed the replication hooks: re-converge the
         # replica bags (uncharged, like the rebuild itself).
         cluster._sync_replicas()

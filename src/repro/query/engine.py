@@ -280,6 +280,8 @@ class QueryEngine:
         info = self.cluster.catalog.relation(relation)
         schema = info.schema
         filters = [f for f in query.filters if f.relation == relation]
+        # Each filter's column position, resolved once per call, not per row.
+        checks = [(schema.index_of(f.column), f.matches) for f in filters]
 
         def env_of(row: Row) -> _Env:
             return {
@@ -288,9 +290,7 @@ class QueryEngine:
             }
 
         def passes(row: Row) -> bool:
-            return all(
-                flt.matches(row[schema.index_of(flt.column)]) for flt in filters
-            )
+            return all(matches(row[position]) for position, matches in checks)
 
         pinned = (
             query.equality_filter_on(relation, info.partition_column)
@@ -304,9 +304,10 @@ class QueryEngine:
                     relation, info.partition_column, pinned.value, Tag.QUERY
                 )
             else:
+                position = schema.index_of(info.partition_column)
                 rows = [
                     row for row in node.scan(relation, Tag.QUERY)
-                    if row[schema.index_of(info.partition_column)] == pinned.value
+                    if row[position] == pinned.value
                 ]
             return [env_of(row) for row in rows if passes(row)]
         for flt in filters:

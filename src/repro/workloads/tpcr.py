@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..storage.schema import Row, Schema
 
@@ -167,10 +167,8 @@ def load_into(cluster: "Cluster", dataset: TpcrDataset) -> None:
         (ORDERS_SCHEMA, dataset.orders),
         (LINEITEM_SCHEMA, dataset.lineitems),
     ):
-        info = cluster.catalog.relation(schema.name)
-        for row in rows:
-            node = info.partitioner.node_of_row(row)
-            cluster.nodes[node].fragment(schema.name).insert(row)
+        partitioner = cluster.catalog.relation(schema.name).partitioner
+        cluster._write_placed(schema.name, [partitioner.split(rows)])
 
 
 def jv1_definition(partitioned: bool = True):

@@ -89,9 +89,7 @@ def build_cluster(
     cluster.create_relation(
         B_SCHEMA, partitioned_on="b", indexes=[("d", workload.clustered)]
     )
-    b_info = cluster.catalog.relation("B")
-    for row in workload.b_rows():
-        node = b_info.partitioner.node_of_row(row)
-        cluster.nodes[node].fragment("B").insert(row)
+    partitioner = cluster.catalog.relation("B").partitioner
+    cluster._write_placed("B", [partitioner.split(workload.b_rows())])
     cluster.create_join_view(workload.definition(), method=method, strategy=strategy)
     return cluster

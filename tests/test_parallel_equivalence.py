@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro import Cluster, HashPartitioning, Schema, two_way_view
-from repro.cluster.parallel import fork_available, shard_ranges
+from repro.cluster.parallel import fork_available
 from repro.cluster.partitioning import RoundRobinPartitioning
 from repro.core.deferred import defer_view
 from repro.core.view import JoinCondition, JoinViewDefinition
@@ -96,19 +96,6 @@ def _script(seed, steps=40, keys=7):
             live[rel].append(new)
             ops.append(("update", rel, [(old, new)]))
     return ops
-
-
-# ----------------------------------------------------------------- sharding
-
-
-def test_shard_ranges_cover_and_balance():
-    for num_nodes in (1, 3, 4, 7, 16):
-        for workers in (1, 2, 3, 5, 16, 40):
-            ranges = shard_ranges(num_nodes, workers)
-            flat = [n for lo, hi in ranges for n in range(lo, hi)]
-            assert flat == list(range(num_nodes))
-            sizes = [hi - lo for lo, hi in ranges]
-            assert max(sizes) - min(sizes) <= 1
 
 
 # -------------------------------------------------------------- equivalence
